@@ -3,25 +3,25 @@ the labeled coupling for strong destruction, plus the statistics they
 support (conversion counts, ordering defects, the microscopic entropy
 functional, one-block statistic and Young-measure evaluations).
 
-The two-copy engine consumes randomness in exactly the same pattern as
-the single-copy engine (waiting time, site, channel, direction per
-event), so with matched seeds and a degenerate second copy it reproduces
-the single-engine trajectory byte for byte.
+Each coupled engine runs on ``engine.GillespieLoop`` and supplies only its
+state, its per-site total rate and its per-event rule, which splits one
+site event into the channels of the coupling.  The loop consumes
+randomness in the same pattern for every process (waiting time, site,
+channel, direction per event), so with matched seeds and a degenerate
+second copy the basic coupling reproduces the single-copy engine's
+trajectory byte for byte.
 """
 from __future__ import annotations
 
 import math
-import time as _time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import (AUDIT_EVERY, Configuration, EventBudgetError,
-                     LeakageError, ModelParams, SimulationError, SumTree,
-                     TrajectoryRecord, block_average)
+from .engine import (Configuration, GillespieLoop, ModelParams,
+                     SimulationError, block_average)
 from .profiles import DensityProfile
 from .rates import RateFunction
-from .rng import UniformBlock
 from .thermo import ThermoTable
 
 
@@ -47,19 +47,7 @@ def ordering_defect(omega: Configuration, varpi: Configuration,
     return int((a1 < b1 and a2 > b2) or (a1 > b1 and a2 < b2))
 
 
-class PairSnapshotObserver:
-    """Records (t, omega, varpi) occupation arrays."""
-
-    def __init__(self, times):
-        self.times = sorted(float(t) for t in times)
-        self.snapshots: list[tuple[float, np.ndarray, np.ndarray]] = []
-
-    def notify(self, t, engine):
-        self.snapshots.append(
-            (t, engine.occupations_omega(), engine.occupations_varpi()))
-
-
-class BasicCouplingEngine:
+class BasicCouplingEngine(GillespieLoop):
     """Two copies evolving under the coupled generator.
 
     Shared moves fire at the minimum of the two site rates; each copy
@@ -73,39 +61,25 @@ class BasicCouplingEngine:
                  leak_fraction: float = 1e-3,
                  max_events: int = 500_000_000,
                  order_guard: bool = False):
+        super().__init__(pair.omega.x_min, len(pair.omega.occ), params, rate,
+                         rng, leak_fraction, max_events)
         self.pair = pair
-        self.params = params
-        self.rate = rate
-        self.rng = rng
-        self.leak_fraction = leak_fraction
-        self.max_events = max_events
-        self.time = 0.0
-        self.n_events = 0
         self.order_violations = 0
         self.order_guard = order_guard
 
         self._a = [int(k) for k in pair.omega.occ]
         self._b = [int(k) for k in pair.varpi.occ]
-        self._n = len(self._a)
-        x0 = -pair.omega.x_min
-        self._origin = x0 if 0 <= x0 < self._n else -1
         aNb = params.destruction_factor
         self._d0 = aNb / (1.0 + aNb)
         self._scale = [float(params.N)] * self._n
         if self._origin >= 0:
             self._scale[self._origin] = params.N * (1.0 + aNb)
-        self._gt = list(rate.table(max(max(self._a, default=0),
-                                       max(self._b, default=0)) + 2))
-        self._rates = [self._scale[i] * max(self._gt[self._a[i]],
-                                            self._gt[self._b[i]])
-                       for i in range(self._n)]
-        self._tree = SumTree(self._rates)
-        self._total = math.fsum(self._rates)
         self._mass0 = (sum(self._a) + pair.omega.destroyed_count
                        + pair.omega.exited_left + pair.omega.exited_right,
                        sum(self._b) + pair.varpi.destroyed_count
                        + pair.varpi.exited_left + pair.varpi.exited_right)
-        self._ub = UniformBlock(rng)
+        self._start(max(max(self._a, default=0), max(self._b, default=0)),
+                    self._mass0[0] + self._mass0[1])
         if order_guard and any(a > b for a, b in zip(self._a, self._b)):
             raise ValueError("order guard requires omega <= varpi initially")
 
@@ -115,85 +89,33 @@ class BasicCouplingEngine:
     def occupations_varpi(self) -> np.ndarray:
         return np.array(self._b, dtype=np.int64)
 
-    def _ensure_g(self, k):
-        while k >= len(self._gt):
-            self._gt = list(self.rate.table(2 * len(self._gt)))
-
     def _site_rate(self, i):
         return self._scale[i] * max(self._gt[self._a[i]], self._gt[self._b[i]])
-
-    def verify_rates(self, rel_tol: float = 1e-9):
-        fresh = [self._site_rate(i) for i in range(self._n)]
-        root = math.fsum(fresh)
-        if abs(root - self._total) > rel_tol * max(1.0, root):
-            raise SimulationError("coupled sum-tree drifted")
-        self._rates = fresh
-        self._tree.rebuild(fresh)
-        self._total = root
 
     def _sync(self):
         self.pair.omega.occ = self.occupations_omega()
         self.pair.varpi.occ = self.occupations_varpi()
 
-    def run(self, t_end: float, observers=(), max_events=None) -> TrajectoryRecord:
-        wall0 = _time.perf_counter()
-        budget = self.max_events if max_events is None else max_events
-        ev0 = self.n_events
-        sched = sorted(
-            (tt, k, ob) for k, ob in enumerate(observers)
-            for tt in ob.times if self.time - 1e-15 <= tt <= t_end)
-        si = 0
+    def _record_counts(self):
+        ca = self.pair.omega
+        return ca.destroyed_count, ca.exited_left, ca.exited_right
 
-        nxt = self._ub.next
-        a, b = self._a, self._b
-        rates = self._rates
-        scale = self._scale
-        tree = self._tree
-        upd = tree.update
-        gt = self._gt
-        n = self._n
-        origin = self._origin
-        p = self.params.p
-        d0 = self._d0
-        closed = self.pair.omega.closed
+    def _step(self):
+        a, b, rates, scale, gt = self._a, self._b, self._rates, self._scale, \
+            self._gt
+        upd = self._tree.update
+        grow, leak = self._grow_g, self._check_leak
+        n, origin, p, d0 = self._n, self._origin, self.params.p, self._d0
         ca, cb = self.pair.omega, self.pair.varpi
+        closed = ca.closed
         guard = self.order_guard
-        log = math.log
-        t = self.time
-        total = self._total
-        leak_cap = self.leak_fraction * max(self._mass0[0] + self._mass0[1], 1)
 
-        while True:
-            if total <= 1e-300:
-                t_ev = t_end + 1.0
-            else:
-                t_ev = t - log(1.0 - nxt()) / total
-            cut = t_ev if t_ev < t_end else t_end
-            while si < len(sched) and sched[si][0] <= cut:
-                self.time = sched[si][0]
-                self._total = total
-                self._sync()
-                sched[si][2].notify(sched[si][0], self)
-                si += 1
-            if t_ev > t_end:
-                t = t_end
-                break
-            t = t_ev
-
-            x = tree.find(nxt() * total)
-            uch = nxt()
-            u = nxt()
-
+        def step(x, uch, u, total):
             ka, kb = a[x], b[x]
             ga, gb = gt[ka], gt[kb]
             mx = ga if ga > gb else gb
             if mx <= 0.0:
-                self.time = t
-                self._total = total
-                self.verify_rates()
-                rates = self._rates
-                total = self._total
-                continue
+                return None
             mn = ga if ga < gb else gb
             r = uch * mx
             move_a = r < ga if r >= mn else True
@@ -226,13 +148,8 @@ class BasicCouplingEngine:
                                 cb.exited_left += 1
                             else:
                                 cb.exited_right += 1
-                        exits = (ca.exited_left + ca.exited_right
-                                 + cb.exited_left + cb.exited_right)
-                        if exits > leak_cap:
-                            self.time = t
-                            self._total = total
-                            self._sync()
-                            raise LeakageError("coupled window leakage")
+                        leak(ca.exited_left + ca.exited_right
+                             + cb.exited_left + cb.exited_right)
                 else:
                     if move_a:
                         a[x] = ka - 1
@@ -242,63 +159,21 @@ class BasicCouplingEngine:
                         b[y] += 1
                     top = max(a[y], b[y]) + 2
                     if top >= len(gt):
-                        self._ensure_g(top)
-                        gt = self._gt
+                        grow(top)
                     dy = scale[y] * max(gt[a[y]], gt[b[y]]) - rates[y]
                     rates[y] += dy
                     upd(y, dy)
                     total += dy
                     if guard and (a[y] > b[y]):
                         self.order_violations += 1
-                dx = scale[x] * max(gt[a[x]], gt[b[x]]) - rates[x]
-                rates[x] += dx
-                upd(x, dx)
-                total += dx
-                if guard and (a[x] > b[x]):
-                    self.order_violations += 1
-                self.n_events += 1
-                if self.n_events - ev0 > budget:
-                    self.time = t
-                    self._total = total
-                    self._sync()
-                    raise EventBudgetError("coupled event budget exhausted")
-                if self.n_events % AUDIT_EVERY == 0:
-                    self.time = t
-                    self._total = total
-                    self.verify_rates()
-                    rates = self._rates
-                    total = self._total
-                continue
-
-            # destruction path rate updates
             dx = scale[x] * max(gt[a[x]], gt[b[x]]) - rates[x]
             rates[x] += dx
             upd(x, dx)
-            total += dx
             if guard and (a[x] > b[x]):
                 self.order_violations += 1
-            self.n_events += 1
-            if self.n_events - ev0 > budget:
-                self.time = t
-                self._total = total
-                self._sync()
-                raise EventBudgetError("coupled event budget exhausted")
-            if self.n_events % AUDIT_EVERY == 0:
-                self.time = t
-                self._total = total
-                self.verify_rates()
-                rates = self._rates
-                total = self._total
+            return total + dx
 
-        self.time = t
-        self._total = total
-        self.verify_rates()
-        self._sync()
-        return TrajectoryRecord(
-            t_end=t, n_events=self.n_events - ev0,
-            wall_time=_time.perf_counter() - wall0,
-            destroyed_count=ca.destroyed_count,
-            exited_left=ca.exited_left, exited_right=ca.exited_right)
+        return step
 
 
 def run_basic_coupling(pair: PairConfiguration, params: ModelParams,
@@ -332,7 +207,7 @@ def second_class_left_mass(state: SecondClassState, N: int) -> float:
     return float(state.zeta.occ[xs <= 0].sum()) / N
 
 
-class SecondClassEngine:
+class SecondClassEngine(GillespieLoop):
     """(omega, zeta) process: destruction replaced by conversion.
 
     omega-particles jump at N g(omega_x); zeta-particles at
@@ -345,39 +220,21 @@ class SecondClassEngine:
                  rate: RateFunction, rng: np.random.Generator,
                  leak_fraction: float = 1e-3,
                  max_events: int = 500_000_000):
-        self.params = params
-        self.rate = rate
-        self.time = 0.0
-        self.n_events = 0
+        super().__init__(initial.x_min, len(initial.occ), params, rate, rng,
+                         leak_fraction, max_events)
         self.conversions = 0
-        self.leak_fraction = leak_fraction
-        self.max_events = max_events
-
         self._w = [int(k) for k in initial.occ]
-        self._z = [0] * len(self._w)
-        self._n = len(self._w)
+        self._z = [0] * self._n
         self._x_min = initial.x_min
         self._closed = initial.closed
-        x0 = -initial.x_min
-        self._origin = x0 if 0 <= x0 < self._n else -1
         self._conv_rate = params.alpha * float(params.N) ** (1.0 + params.beta)
         self._N = float(params.N)
-        self._gt = list(rate.table(max(self._w, default=0) + 2))
-        self._rates = [self._site_rate_raw(i) for i in range(self._n)]
-        self._tree = SumTree(self._rates)
-        self._total = math.fsum(self._rates)
         self._mass0 = sum(self._w)
         self._exited = 0
-        self._ub = UniformBlock(rng)
+        self._start(max(self._w, default=0), self._mass0)
 
-    def _ensure_g(self, k):
-        while k >= len(self._gt):
-            self._gt = list(self.rate.table(2 * len(self._gt)))
-
-    def _site_rate_raw(self, i):
-        tot = self._w[i] + self._z[i]
-        self._ensure_g(tot + 1)
-        r = self._N * self._gt[tot]
+    def _site_rate(self, i):
+        r = self._N * self._gt[self._w[i] + self._z[i]]
         if i == self._origin:
             r += self._conv_rate * self._gt[self._w[i]]
         return r
@@ -390,87 +247,39 @@ class SecondClassEngine:
                                self._closed),
             conversions=self.conversions)
 
-    def verify_rates(self, rel_tol: float = 1e-9):
-        fresh = [self._site_rate_raw(i) for i in range(self._n)]
-        root = math.fsum(fresh)
-        if abs(root - self._total) > rel_tol * max(1.0, root):
-            raise SimulationError("second-class sum-tree drifted")
-        self._rates = fresh
-        self._tree.rebuild(fresh)
-        self._total = root
+    def _check_mass(self):
+        if self._closed and sum(self._w) + sum(self._z) != self._mass0:
+            raise SimulationError("pair-process mass conservation broken")
 
-    def run(self, t_end: float, observers=(), max_events=None):
-        wall0 = _time.perf_counter()
-        budget = self.max_events if max_events is None else max_events
-        ev0 = self.n_events
-        sched = sorted(
-            (tt, k, ob) for k, ob in enumerate(observers)
-            for tt in ob.times if self.time - 1e-15 <= tt <= t_end)
-        si = 0
+    def _record_counts(self):
+        return self.conversions, 0, self._exited
 
-        nxt = self._ub.next
-        w, z = self._w, self._z
-        rates = self._rates
-        tree = self._tree
-        upd = tree.update
-        gt = self._gt
-        n = self._n
-        origin = self._origin
-        p = self.params.p
-        N = self._N
-        conv = self._conv_rate
-        closed = self._closed
-        log = math.log
-        t = self.time
-        total = self._total
-        leak_cap = self.leak_fraction * max(self._mass0, 1)
+    def _step(self):
+        w, z, rates, gt = self._w, self._z, self._rates, self._gt
+        upd = self._tree.update
+        grow, leak = self._grow_g, self._check_leak
+        n, origin, p = self._n, self._origin, self.params.p
+        N, conv, closed = self._N, self._conv_rate, self._closed
 
         def site_rate(i):
-            tot = w[i] + z[i]
-            r = N * gt[tot]
+            r = N * gt[w[i] + z[i]]
             if i == origin:
                 r += conv * gt[w[i]]
             return r
 
-        while True:
-            if total <= 1e-300:
-                t_ev = t_end + 1.0
-            else:
-                t_ev = t - log(1.0 - nxt()) / total
-            cut = t_ev if t_ev < t_end else t_end
-            while si < len(sched) and sched[si][0] <= cut:
-                self.time = sched[si][0]
-                self._total = total
-                sched[si][2].notify(sched[si][0], self)
-                si += 1
-            if t_ev > t_end:
-                t = t_end
-                break
-            t = t_ev
-
-            x = tree.find(nxt() * total)
-            uch = nxt()
-            u = nxt()
-
+        def step(x, uch, u, total):
             kw, kz = w[x], z[x]
             tot_occ = kw + kz
             if tot_occ + 2 >= len(gt):
-                self._ensure_g(tot_occ + 2)
-                gt = self._gt
+                grow(tot_occ + 2)
             gw = gt[kw]
             gwz = gt[tot_occ]
             if gwz < gw:
                 raise SimulationError("rate monotonicity violated (H1)")
             site_total = N * gwz + (conv * gw if x == origin else 0.0)
             if site_total <= 0.0:
-                self.time = t
-                self._total = total
-                self.verify_rates()
-                rates = self._rates
-                total = self._total
-                continue
+                return None
             r = uch * site_total
-            moved = None
             if x == origin and r < conv * gw:
                 # conversion: omega-particle becomes a second-class particle
                 w[x] = kw - 1
@@ -479,32 +288,25 @@ class SecondClassEngine:
             else:
                 if x == origin:
                     r -= conv * gw
-                if r < N * gw:
-                    moved = "w"
-                else:
-                    moved = "z"
+                moved_w = r < N * gw
                 y = x + 1 if u < p else x - 1
                 if y < 0 or y >= n:
                     if not closed:
-                        if moved == "w":
+                        if moved_w:
                             w[x] = kw - 1
                         else:
                             z[x] = kz - 1
                         self._exited += 1
-                        if self._exited > leak_cap:
-                            self.time = t
-                            self._total = total
-                            raise LeakageError("second-class window leakage")
+                        leak(self._exited)
                 else:
-                    if moved == "w":
+                    if moved_w:
                         w[x] = kw - 1
                         w[y] += 1
                     else:
                         z[x] = kz - 1
                         z[y] += 1
                     if w[y] + z[y] + 2 >= len(gt):
-                        self._ensure_g(w[y] + z[y] + 2)
-                        gt = self._gt
+                        grow(w[y] + z[y] + 2)
                     dy = site_rate(y) - rates[y]
                     rates[y] += dy
                     upd(y, dy)
@@ -512,34 +314,9 @@ class SecondClassEngine:
             dx = site_rate(x) - rates[x]
             rates[x] += dx
             upd(x, dx)
-            total += dx
+            return total + dx
 
-            self.n_events += 1
-            if self.n_events - ev0 > budget:
-                self.time = t
-                self._total = total
-                raise EventBudgetError("second-class event budget exhausted")
-            if self.n_events % AUDIT_EVERY == 0:
-                self.time = t
-                self._total = total
-                self.verify_rates()
-                if closed:
-                    if sum(w) + sum(z) != self._mass0:
-                        raise SimulationError(
-                            "pair-process mass conservation broken")
-                rates = self._rates
-                total = self._total
-
-        self.time = t
-        self._total = total
-        self.verify_rates()
-        if closed and sum(w) + sum(z) != self._mass0:
-            raise SimulationError("pair-process mass conservation broken")
-        return TrajectoryRecord(
-            t_end=t, n_events=self.n_events - ev0,
-            wall_time=_time.perf_counter() - wall0,
-            destroyed_count=self.conversions,
-            exited_left=0, exited_right=self._exited)
+        return step
 
 
 def run_second_class(initial: Configuration, params: ModelParams,
@@ -554,7 +331,7 @@ def run_second_class(initial: Configuration, params: ModelParams,
 # -- labeled coupling for strong destruction ----------------------------
 
 
-class LabeledCouplingEngine:
+class LabeledCouplingEngine(GillespieLoop):
     """Coupled (eta, omega): instant-kill process vs the beta = 1/2 process.
 
     eta <= omega pointwise; coupled pairs move together at N g(eta_x),
@@ -568,103 +345,49 @@ class LabeledCouplingEngine:
                  rate: RateFunction, rng: np.random.Generator,
                  leak_fraction: float = 1e-3,
                  max_events: int = 500_000_000):
-        self.params = params
-        self.rate = rate
-        self.time = 0.0
-        self.n_events = 0
+        super().__init__(initial.x_min, len(initial.occ), params, rate, rng,
+                         leak_fraction, max_events)
         N = float(params.N)
-        self._N = N
-        self._sqrtN = math.sqrt(N)
-        self._kill_p = (params.alpha * self._sqrtN
-                        / (1.0 + params.alpha * self._sqrtN))
-        self._origin_scale = N * (1.0 + params.alpha * self._sqrtN)
-
+        sqrtN = math.sqrt(N)
+        self._kill_p = params.alpha * sqrtN / (1.0 + params.alpha * sqrtN)
+        self._scale = [N] * self._n
         self._eta = [int(k) for k in initial.occ]
         self._omega = [int(k) for k in initial.occ]
-        self._n = len(self._eta)
-        self._x_min = initial.x_min
         self._closed = initial.closed
-        x0 = -initial.x_min
-        self._origin = x0 if 0 <= x0 < self._n else -1
         if self._origin >= 0:
+            self._scale[self._origin] = N * (1.0 + params.alpha * sqrtN)
             # eta-particles at the origin die at time zero
             self._eta[self._origin] = 0
-        self._gt = list(rate.table(max(self._omega, default=0) + 2))
-        self._rates = [self._site_rate_raw(i) for i in range(self._n)]
-        self._tree = SumTree(self._rates)
-        self._total = math.fsum(self._rates)
-        self._mass0 = sum(self._omega)
         self._exited = 0
-        self.leak_fraction = leak_fraction
-        self.max_events = max_events
-        self._ub = UniformBlock(rng)
+        self._start(max(self._omega, default=0), sum(self._omega))
 
-    def _ensure_g(self, k):
-        while k >= len(self._gt):
-            self._gt = list(self.rate.table(2 * len(self._gt)))
-
-    def _site_rate_raw(self, i):
-        self._ensure_g(self._omega[i] + 1)
-        if i == self._origin:
-            return self._origin_scale * self._gt[self._omega[i]]
-        return self._N * self._gt[self._omega[i]]
+    def _site_rate(self, i):
+        return self._scale[i] * self._gt[self._omega[i]]
 
     def discrepancy(self) -> int:
         """Surviving uncoupled omega-particles: sum |eta - omega|."""
         return sum(o - e for o, e in zip(self._omega, self._eta))
 
-    def verify_rates(self, rel_tol: float = 1e-9):
-        fresh = [self._site_rate_raw(i) for i in range(self._n)]
-        root = math.fsum(fresh)
-        if abs(root - self._total) > rel_tol * max(1.0, root):
-            raise SimulationError("labeled sum-tree drifted")
-        self._rates = fresh
-        self._tree.rebuild(fresh)
-        self._total = root
+    def run(self, t_end: float, max_events=None) -> int:
+        """Run to ``t_end``; returns the discrepancy.  A run that starts at
+        or past ``t_end`` draws nothing."""
+        if self.time < t_end:
+            self._loop(t_end, (), max_events)
+        return self.discrepancy()
 
-    def run(self, t_end: float, max_events=None):
-        budget = self.max_events if max_events is None else max_events
-        ev0 = self.n_events
-        nxt = self._ub.next
-        eta, omg = self._eta, self._omega
-        rates = self._rates
-        tree = self._tree
-        upd = tree.update
-        gt = self._gt
-        n = self._n
-        origin = self._origin
-        p = self.params.p
-        N = self._N
-        kill_p = self._kill_p
-        closed = self._closed
-        log = math.log
-        t = self.time
-        total = self._total
-        leak_cap = self.leak_fraction * max(self._mass0, 1)
+    def _step(self):
+        eta, omg, rates, scale, gt = self._eta, self._omega, self._rates, \
+            self._scale, self._gt
+        upd = self._tree.update
+        grow, leak = self._grow_g, self._check_leak
+        n, origin, p = self._n, self._origin, self.params.p
+        kill_p, closed = self._kill_p, self._closed
 
-        while t < t_end:
-            if total <= 1e-300:
-                t = t_end
-                break
-            t_ev = t - log(1.0 - nxt()) / total
-            if t_ev > t_end:
-                t = t_end
-                break
-            t = t_ev
-
-            x = tree.find(nxt() * total)
-            uch = nxt()
-            u = nxt()
-
+        def step(x, uch, u, total):
             ko, ke = omg[x], eta[x]
             go = gt[ko]
             if go <= 0.0:
-                self.time = t
-                self._total = total
-                self.verify_rates()
-                rates = self._rates
-                total = self._total
-                continue
+                return None
 
             if x == origin:
                 # three-way split for an uncoupled particle at the origin
@@ -677,13 +400,13 @@ class LabeledCouplingEngine:
                         if not closed:
                             omg[x] = ko - 1
                             self._exited += 1
+                            leak(self._exited)
                     else:
                         omg[x] = ko - 1
                         omg[y] += 1
                         if omg[y] + 2 >= len(gt):
-                            self._ensure_g(omg[y] + 2)
-                            gt = self._gt
-                        dy = self._site_rate_raw(y) - rates[y]
+                            grow(omg[y] + 2)
+                        dy = scale[y] * gt[omg[y]] - rates[y]
                         rates[y] += dy
                         upd(y, dy)
                         total += dy
@@ -696,10 +419,7 @@ class LabeledCouplingEngine:
                         if coupled:
                             eta[x] = ke - 1
                         self._exited += 1
-                        if self._exited > leak_cap:
-                            self.time = t
-                            self._total = total
-                            raise LeakageError("labeled window leakage")
+                        leak(self._exited)
                 else:
                     omg[x] = ko - 1
                     omg[y] += 1
@@ -709,33 +429,17 @@ class LabeledCouplingEngine:
                             eta[y] += 1
                         # arriving at the origin kills the eta-particle
                     if omg[y] + 2 >= len(gt):
-                        self._ensure_g(omg[y] + 2)
-                        gt = self._gt
-                    dy = self._site_rate_raw(y) - rates[y]
+                        grow(omg[y] + 2)
+                    dy = scale[y] * gt[omg[y]] - rates[y]
                     rates[y] += dy
                     upd(y, dy)
                     total += dy
-            dx = self._site_rate_raw(x) - rates[x]
+            dx = scale[x] * gt[omg[x]] - rates[x]
             rates[x] += dx
             upd(x, dx)
-            total += dx
+            return total + dx
 
-            self.n_events += 1
-            if self.n_events - ev0 > budget:
-                self.time = t
-                self._total = total
-                raise EventBudgetError("labeled event budget exhausted")
-            if self.n_events % AUDIT_EVERY == 0:
-                self.time = t
-                self._total = total
-                self.verify_rates()
-                rates = self._rates
-                total = self._total
-
-        self.time = t
-        self._total = total
-        self.verify_rates()
-        return self.discrepancy()
+        return step
 
 
 def run_labeled_coupling(initial: Configuration, params: ModelParams,

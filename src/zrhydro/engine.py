@@ -2,10 +2,14 @@
 
 The process runs on a finite lattice window.  Per-site event rates are
 ``N * g(occupation)``, with the origin carrying the extra destruction
-factor ``1 + alpha * N**beta``.  Events are drawn with the Gillespie
-direct method; site selection uses a binary-indexed sum tree so each
-event costs O(log window).  Time is macroscopic: waiting times are
+factor ``1 + alpha * N**beta``.  Time is macroscopic: waiting times are
 exponential against the total (already accelerated) rate.
+
+``GillespieLoop`` is the one event loop of the package (Gillespie direct
+method; site selection on a binary-indexed sum tree, so each event costs
+O(log window)).  It serves this module's single-copy ``EventEngine`` and
+the coupled engines in ``coupling``; a process supplies only its state,
+its per-site rate and its per-event rule.
 """
 from __future__ import annotations
 
@@ -158,16 +162,6 @@ class SumTree:
             t[j] += delta
             j += j & (-j)
 
-    def total(self) -> float:
-        t = self.tree
-        n = self.n
-        s = 0.0
-        j = n
-        while j > 0:
-            s += t[j]
-            j -= j & (-j)
-        return s
-
     def find(self, u: float) -> int:
         """Largest index with prefix sum <= u (rate-proportional pick)."""
         t = self.tree
@@ -182,59 +176,78 @@ class SumTree:
         return min(pos, self.n - 1)
 
 
-class EventEngine:
-    """Gillespie direct-method engine owning one Configuration."""
+class GillespieLoop:
+    """The Gillespie direct-method event loop that every engine runs.
 
-    def __init__(self, config: Configuration, params: ModelParams,
+    Each event draws four uniforms in a fixed order: the exponential
+    waiting time, the rate-proportional site (a sum-tree pick), the
+    channel and the direction.  The loop also owns the observer schedule,
+    the event budget, the leak cap, the audit cadence and the rate audit
+    itself, and the g table, which grows in place.
+
+    A process supplies its state and
+    - ``_site_rate(i)``: the total event rate of site ``i``, from scratch;
+    - ``_step()``: the per-event closure ``step(x, uch, u, total)``, which
+      applies one event at site ``x`` with channel and direction uniforms
+      ``uch`` and ``u``, refreshes ``_rates`` and the tree at the sites it
+      changed, and returns the new total rate, or None when ``x`` holds
+      nothing that can move;
+    - optionally ``_sync()`` (publish state before observers and errors),
+      ``_check_mass()`` (closed-window conservation, at each audit) and
+      ``_record_counts()`` (the destroyed/exit counters ``run`` reports).
+
+    The closures capture the live lists, which audits and table growth
+    update in place, so they stay valid for the whole run.
+    """
+
+    def __init__(self, x_min: int, n: int, params: ModelParams,
                  rate: RateFunction, rng: np.random.Generator,
-                 leak_fraction: float = LEAK_FRACTION,
-                 max_events: int = 500_000_000,
-                 instant_kill: bool = False):
-        self.config = config
+                 leak_fraction: float, max_events: int):
         self.params = params
         self.rate = rate
         self.rng = rng
         self.leak_fraction = leak_fraction
         self.max_events = max_events
-        self.instant_kill = instant_kill
         self.time = 0.0
         self.n_events = 0
+        self._n = n
+        x0 = -x_min
+        self._origin = x0 if 0 <= x0 < n else -1
 
-        self._occ = [int(k) for k in config.occ]
-        self._n = len(self._occ)
-        x0 = -config.x_min
-        self._origin = x0 if 0 <= x0 < self._n else -1
-        aNb = params.destruction_factor
-        self._d0 = aNb / (1.0 + aNb)
-        self._scale = [float(params.N)] * self._n
-        if self._origin >= 0 and not instant_kill:
-            self._scale[self._origin] = params.N * (1.0 + aNb)
-        if instant_kill and self._origin >= 0:
-            # origin occupants die immediately in the instant-kill process
-            config.destroyed_count += self._occ[self._origin]
-            self._occ[self._origin] = 0
-        self._gt = list(rate.table(max(self._occ, default=0) + 2))
-        self._rates = [self._scale[i] * self._gt[self._occ[i]]
-                       for i in range(self._n)]
+    def _start(self, occ_max: int, mass: int):
+        """Build the g table, site rates and sum tree once the process's
+        state is in place; ``mass`` sets the leak cap."""
+        self._gt = list(self.rate.table(occ_max + 2))
+        self._rates = [self._site_rate(i) for i in range(self._n)]
         self._tree = SumTree(self._rates)
         self._total = math.fsum(self._rates)
-        self._initial_total_mass = sum(self._occ) + config.destroyed_count \
-            + config.exited_left + config.exited_right
-        self._ub = UniformBlock(rng)
+        self._leak_cap = self.leak_fraction * max(mass, 1)
+        self._ub = UniformBlock(self.rng)
 
-    # -- helpers ---------------------------------------------------------
+    # -- hooks -----------------------------------------------------------
 
-    def occupations(self) -> np.ndarray:
-        return np.array(self._occ, dtype=np.int64)
+    def _sync(self):
+        pass
 
-    def _ensure_g(self, k: int):
-        while k >= len(self._gt):
-            self._gt = list(self.rate.table(2 * len(self._gt)))
+    def _check_mass(self):
+        pass
+
+    # -- shared checks ---------------------------------------------------
+
+    def _grow_g(self, k: int):
+        """Extend the g table in place until it covers occupation k."""
+        gt = self._gt
+        while k >= len(gt):
+            gt.extend(self.rate.table(2 * len(gt))[len(gt):])
+
+    def _check_leak(self, exits: int):
+        if exits > self._leak_cap:
+            raise LeakageError("open-window exits exceeded "
+                               f"{self.leak_fraction:g} of the mass")
 
     def verify_rates(self, rel_tol: float = RATE_REL_TOL):
         """Recompute all rates from scratch; raise on drift."""
-        fresh = [self._scale[i] * self.rate.g(self._occ[i])
-                 for i in range(self._n)]
+        fresh = [self._site_rate(i) for i in range(self._n)]
         for i, (a, b) in enumerate(zip(fresh, self._rates)):
             if abs(a - b) > rel_tol * max(1.0, abs(a)):
                 raise RateConsistencyError(f"site {i}: {b} != {a}")
@@ -242,12 +255,122 @@ class EventEngine:
         if abs(root - self._total) > rel_tol * max(1.0, root):
             raise RateConsistencyError(
                 f"running total {self._total} != rebuilt {root}")
-        self._rates = fresh
+        self._rates[:] = fresh
         self._tree.rebuild(fresh)
         self._total = root
 
-    def _audit(self):
+    # -- main loop -------------------------------------------------------
+
+    def run(self, t_end: float, observers=(), max_events=None) -> TrajectoryRecord:
+        if t_end < self.time:
+            raise ValueError("t_end before current time")
+        wall0 = _time.perf_counter()
+        events_start = self.n_events
+        self._loop(t_end, observers, max_events)
+        destroyed, left, right = self._record_counts()
+        return TrajectoryRecord(
+            t_end=self.time, n_events=self.n_events - events_start,
+            wall_time=_time.perf_counter() - wall0,
+            destroyed_count=destroyed, exited_left=left, exited_right=right)
+
+    def _loop(self, t_end: float, observers, max_events):
+        budget = self.max_events if max_events is None else max_events
+        sched = sorted(
+            (tt, k, ob) for k, ob in enumerate(observers)
+            for tt in ob.times if self.time - 1e-15 <= tt <= t_end)
+        si, n_sched = 0, len(sched)
+
+        step = self._step()
+        nxt = self._ub.next
+        find = self._tree.find
+        log = math.log
+        every = AUDIT_EVERY
+        t = self.time
+        total = self._total
+        events = self.n_events
+        limit = events + budget
+        next_audit = (events // every + 1) * every
+
+        try:
+            while True:
+                if total <= 1e-300:
+                    t_ev = t_end + 1.0
+                else:
+                    t_ev = t - log(1.0 - nxt()) / total
+                # scheduled times never exceed t_end
+                while si < n_sched and sched[si][0] <= t_ev:
+                    tt, _, ob = sched[si]
+                    self.time, self._total, self.n_events = tt, total, events
+                    self._sync()
+                    ob.notify(tt, self)
+                    si += 1
+                if t_ev > t_end:
+                    t = t_end
+                    break
+                t = t_ev
+
+                x = find(nxt() * total)
+                uch = nxt()
+                new_total = step(x, uch, nxt(), total)
+                if new_total is None:
+                    # an empty site, reachable only through float underflow
+                    # in the tree: rebuild and skip
+                    self.time, self._total = t, total
+                    self.verify_rates()
+                    total = self._total
+                    continue
+                total = new_total
+
+                events += 1
+                if events > limit:
+                    raise EventBudgetError(f"exceeded {budget} events")
+                if events == next_audit:
+                    next_audit += every
+                    self.time, self._total, self.n_events = t, total, events
+                    self.verify_rates()
+                    self._check_mass()
+                    total = self._total
+        except SimulationError:
+            self.time, self._total, self.n_events = t, total, events
+            self._sync()
+            raise
+
+        self.time, self._total, self.n_events = t, total, events
         self.verify_rates()
+        self._check_mass()
+        self._sync()
+
+
+class EventEngine(GillespieLoop):
+    """Gillespie direct-method engine owning one Configuration."""
+
+    def __init__(self, config: Configuration, params: ModelParams,
+                 rate: RateFunction, rng: np.random.Generator,
+                 leak_fraction: float = LEAK_FRACTION,
+                 max_events: int = 500_000_000):
+        super().__init__(config.x_min, len(config.occ), params, rate, rng,
+                         leak_fraction, max_events)
+        self.config = config
+        self._occ = [int(k) for k in config.occ]
+        aNb = params.destruction_factor
+        self._d0 = aNb / (1.0 + aNb)
+        self._scale = [float(params.N)] * self._n
+        if self._origin >= 0:
+            self._scale[self._origin] = params.N * (1.0 + aNb)
+        self._initial_total_mass = sum(self._occ) + config.destroyed_count \
+            + config.exited_left + config.exited_right
+        self._start(max(self._occ, default=0), self._initial_total_mass)
+
+    def occupations(self) -> np.ndarray:
+        return np.array(self._occ, dtype=np.int64)
+
+    def _site_rate(self, i):
+        return self._scale[i] * self._gt[self._occ[i]]
+
+    def _sync(self):
+        self.config.occ = self.occupations()
+
+    def _check_mass(self):
         c = self.config
         if c.closed:
             now = sum(self._occ) + c.destroyed_count
@@ -256,148 +379,62 @@ class EventEngine:
                     f"closed-window conservation broken: {now} != "
                     f"{self._initial_total_mass}")
 
-    def _sync_config(self):
-        self.config.occ = self.occupations()
-
-    # -- main loop -------------------------------------------------------
-
-    def run(self, t_end: float, observers=(), max_events=None) -> TrajectoryRecord:
-        if t_end < self.time:
-            raise ValueError("t_end before current time")
-        wall0 = _time.perf_counter()
-        budget = self.max_events if max_events is None else max_events
-        events_start = self.n_events
-
-        sched = sorted(
-            (tt, k, ob) for k, ob in enumerate(observers)
-            for tt in ob.times if self.time - 1e-15 <= tt <= t_end)
-        si = 0
-
-        nxt = self._ub.next
-        occ = self._occ
-        rates = self._rates
-        scale = self._scale
-        tree = self._tree
-        upd = tree.update
-        gt = self._gt
-        n = self._n
-        origin = self._origin
-        p = self.params.p
-        d0 = self._d0 if not self.instant_kill else 0.0
-        closed = self.config.closed
+    def _record_counts(self):
         c = self.config
-        log = math.log
-        t = self.time
-        total = self._total
-        leak_cap = (self.leak_fraction *
-                    max(self._initial_total_mass, 1)) if not closed else None
+        return c.destroyed_count, c.exited_left, c.exited_right
 
-        while True:
-            if total <= 1e-300:
-                t_ev = t_end + 1.0
-            else:
-                t_ev = t - log(1.0 - nxt()) / total
-            cut = t_ev if t_ev < t_end else t_end
-            while si < len(sched) and sched[si][0] <= cut:
-                self.time = sched[si][0]
-                self._total = total
-                self._sync_config()
-                sched[si][2].notify(sched[si][0], self)
-                si += 1
-            if t_ev > t_end:
-                t = t_end
-                break
-            t = t_ev
+    def _step(self):
+        occ, rates, scale, gt = self._occ, self._rates, self._scale, self._gt
+        upd = self._tree.update
+        grow, leak = self._grow_g, self._check_leak
+        n, origin, p, d0 = self._n, self._origin, self.params.p, self._d0
+        c = self.config
+        closed = c.closed
 
-            x = tree.find(nxt() * total)
-            nxt()  # channel draw; single-copy engine has one channel
-            u = nxt()
-
+        def step(x, uch, u, total):
             k = occ[x]
             if k <= 0:
-                # numerically possible only through float underflow in the
-                # tree; rebuild and skip
-                self.time = t
-                self._total = total
-                self.verify_rates()
-                total = self._total
-                continue
-
-            if x == origin and u < d0:
-                occ[x] = k - 1
-                c.destroyed_count += 1
-                kn = k - 1
-                delta = scale[x] * gt[kn] - rates[x]
-                rates[x] += delta
-                upd(x, delta)
-                total += delta
-            else:
-                if x == origin:
-                    go_right = u < d0 + (1.0 - d0) * p
-                else:
-                    go_right = u < p
-                y = x + 1 if go_right else x - 1
-                if y < 0 or y >= n:
-                    if closed:
-                        pass  # reflecting edge: move rejected
-                    else:
-                        occ[x] = k - 1
-                        if y < 0:
-                            c.exited_left += 1
-                        else:
-                            c.exited_right += 1
-                        delta = scale[x] * gt[k - 1] - rates[x]
-                        rates[x] += delta
-                        upd(x, delta)
-                        total += delta
-                        if (c.exited_left + c.exited_right) > leak_cap:
-                            self.time = t
-                            self._total = total
-                            self._sync_config()
-                            raise LeakageError(
-                                "open-window exits exceeded "
-                                f"{self.leak_fraction:g} of the mass")
-                else:
+                return None
+            if x == origin:
+                if u < d0:
                     occ[x] = k - 1
-                    ky = occ[y]
-                    if y == origin and self.instant_kill:
-                        c.destroyed_count += 1
-                    else:
-                        occ[y] = ky + 1
-                        if ky + 2 >= len(gt):
-                            self._ensure_g(ky + 2)
-                            gt = self._gt
-                        dy = scale[y] * gt[ky + 1] - rates[y]
-                        rates[y] += dy
-                        upd(y, dy)
-                        total += dy
+                    c.destroyed_count += 1
                     dx = scale[x] * gt[k - 1] - rates[x]
                     rates[x] += dx
                     upd(x, dx)
-                    total += dx
+                    return total + dx
+                go_right = u < d0 + (1.0 - d0) * p
+            else:
+                go_right = u < p
+            y = x + 1 if go_right else x - 1
+            if y < 0 or y >= n:
+                if closed:
+                    return total  # reflecting edge: move rejected
+                occ[x] = k - 1
+                if y < 0:
+                    c.exited_left += 1
+                else:
+                    c.exited_right += 1
+                dx = scale[x] * gt[k - 1] - rates[x]
+                rates[x] += dx
+                upd(x, dx)
+                leak(c.exited_left + c.exited_right)
+                return total + dx
+            occ[x] = k - 1
+            ky = occ[y]
+            occ[y] = ky + 1
+            if ky + 2 >= len(gt):
+                grow(ky + 2)
+            dy = scale[y] * gt[ky + 1] - rates[y]
+            rates[y] += dy
+            upd(y, dy)
+            total += dy
+            dx = scale[x] * gt[k - 1] - rates[x]
+            rates[x] += dx
+            upd(x, dx)
+            return total + dx
 
-            self.n_events += 1
-            if self.n_events - events_start > budget:
-                self.time = t
-                self._total = total
-                self._sync_config()
-                raise EventBudgetError(f"exceeded {budget} events")
-            if self.n_events % AUDIT_EVERY == 0:
-                self.time = t
-                self._total = total
-                self._audit()
-                rates = self._rates
-                total = self._total
-
-        self.time = t
-        self._total = total
-        self._audit()
-        self._sync_config()
-        return TrajectoryRecord(
-            t_end=t, n_events=self.n_events - events_start,
-            wall_time=_time.perf_counter() - wall0,
-            destroyed_count=c.destroyed_count,
-            exited_left=c.exited_left, exited_right=c.exited_right)
+        return step
 
 
 # -- initial conditions and observables ---------------------------------

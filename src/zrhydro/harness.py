@@ -18,8 +18,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .engine import (ModelParams, SnapshotObserver, build_initial,
-                     choose_window, empirical_density)
+from .engine import (EventEngine, ModelParams, SnapshotObserver,
+                     build_initial, choose_window, empirical_density)
 from .oracle import LinearCaseParams, exact_linear_solution
 from .pde import compose_theorem_solution
 from .profiles import DensityProfile
@@ -123,7 +123,6 @@ def _run_replica(args):
     window = choose_window(rho0.support(), params, t_max, spec.margin)
     rng = replica_stream(spec.seed, rep)
     cfg = build_initial(rho0, params, window, rng, closed=spec.closed)
-    from .engine import EventEngine
     eng = EventEngine(cfg, params, rate_from_spec(spec.rate), rng)
     obs = SnapshotObserver(spec.times)
     eng.run(t_max, observers=[obs])

@@ -155,11 +155,6 @@ class ThermoTable:
             raise DensityRangeError("density outside tabulated range")
         return np.interp(rho, self.densities, self.zetas)
 
-    def r_of(self, zeta):
-        """Vectorized R via interpolation on the construction grid."""
-        return np.interp(np.asarray(zeta, dtype=float), self.zetas,
-                         self.densities)
-
     # -- sampling --------------------------------------------------------
 
     def marginal_pmf(self, zeta: float, tail_tol: float = 1e-13) -> np.ndarray:
