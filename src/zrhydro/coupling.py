@@ -230,7 +230,8 @@ class SecondClassEngine(GillespieLoop):
         self._conv_rate = params.alpha * float(params.N) ** (1.0 + params.beta)
         self._N = float(params.N)
         self._mass0 = sum(self._w)
-        self._exited = 0
+        self._exited_left = 0
+        self._exited_right = 0
         self._start(max(self._w, default=0), self._mass0)
 
     def _site_rate(self, i):
@@ -252,7 +253,7 @@ class SecondClassEngine(GillespieLoop):
             raise SimulationError("pair-process mass conservation broken")
 
     def _record_counts(self):
-        return self.conversions, 0, self._exited
+        return self.conversions, self._exited_left, self._exited_right
 
     def _step(self):
         w, z, rates, gt = self._w, self._z, self._rates, self._gt
@@ -296,8 +297,11 @@ class SecondClassEngine(GillespieLoop):
                             w[x] = kw - 1
                         else:
                             z[x] = kz - 1
-                        self._exited += 1
-                        leak(self._exited)
+                        if y < 0:
+                            self._exited_left += 1
+                        else:
+                            self._exited_right += 1
+                        leak(self._exited_left + self._exited_right)
                 else:
                     if moved_w:
                         w[x] = kw - 1

@@ -106,6 +106,20 @@ class TestSecondClass:
                               replica_stream(12, 0))
         assert st.k_t == st.conversions
 
+    def test_exits_counted_by_edge(self):
+        # 30 particles on the left edge of an open window: in a short run
+        # only the left edge is within reach, so every exit is a left exit
+        params = ModelParams(0.75, 0.0, 0.0, 20)
+        occ = [0] * 41
+        occ[0] = 30
+        eng = SecondClassEngine(config(occ, -20), params, linear_rate(),
+                                np.random.default_rng(0), leak_fraction=1.0)
+        rec = eng.run(0.2)
+        st = eng.state()
+        assert rec.exited_left > 0 and rec.exited_right == 0
+        assert (st.omega.total_mass + st.zeta.total_mass
+                + rec.exited_left == 30)
+
     def test_left_mass_trivial(self):
         from zrhydro.coupling import SecondClassState
         st = SecondClassState(
