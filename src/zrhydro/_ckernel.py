@@ -1,0 +1,108 @@
+"""Build and load the compiled event loop, ``_kernel.c``.
+
+The kernel is compiled on first use with the system C compiler ``cc`` and
+loaded with ``ctypes``; nothing happens at import.  The shared library is
+cached under ``$XDG_CACHE_HOME/zrhydro`` (else ``~/.cache/zrhydro``), named
+by a hash of the source and the compiler flags, so an edited source or new
+flags build afresh.  A build writes a temporary file and renames it into
+place, so processes that start at once cannot load a half-written library.
+
+The flags keep the arithmetic exact: no ``-ffast-math``, and
+``-ffp-contract=off`` so that no multiply-add is fused, which the Python
+loop cannot do either.  When no compiler is found or the build fails,
+``load()`` warns once and returns None, and the engines run the Python
+loop.
+"""
+from __future__ import annotations
+
+import ctypes
+import os
+import warnings
+from pathlib import Path
+
+SOURCE = Path(__file__).with_name("_kernel.c")
+COMPILER = "cc"
+FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+LIBS = ("-lm",)
+
+_i64, _f64, _ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+
+
+class State(ctypes.Structure):
+    """The kernel's ``zrh_state``; see ``_kernel.c``."""
+
+    _fields_ = [(name, _i64) for name in
+                ("mode", "n", "origin", "closed", "guard")] + \
+        [(name, _f64) for name in ("p", "d0", "N", "conv", "leak_cap")] + \
+        [(name, _ptr) for name in
+         ("gt", "scale", "rates", "tree", "a", "b", "cnt", "buf")] + \
+        [(name, _i64) for name in ("buf_n", "i", "events", "ev_max")] + \
+        [(name, _f64) for name in ("t", "total", "t_stop")]
+
+
+class KernelUnavailable(RuntimeError):
+    pass
+
+
+#: the loaded entry point, or None after a failed load; unset until the
+#: first load()
+_loaded: list = []
+
+
+def _library() -> Path:
+    """Path of the built kernel, building it if no cached copy exists."""
+    # imported here, so that importing the package stays as cheap as before
+    import hashlib
+    import shutil
+    import subprocess
+    import tempfile
+
+    source = SOURCE.read_bytes()
+    key = hashlib.sha256(source + "\0".join(FLAGS + LIBS).encode())
+    cache = os.environ.get("XDG_CACHE_HOME") or os.path.join(
+        os.path.expanduser("~"), ".cache")
+    lib = Path(cache) / "zrhydro" / f"kernel-{key.hexdigest()[:16]}.so"
+    if lib.is_file():
+        return lib
+    cc = shutil.which(COMPILER)
+    if cc is None:
+        raise KernelUnavailable(f"no C compiler ({COMPILER}) on PATH")
+    try:
+        lib.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=lib.parent, suffix=".so.tmp")
+        os.close(fd)
+    except OSError as e:
+        raise KernelUnavailable(f"cannot write to {lib.parent}: {e}")
+    try:
+        proc = subprocess.run([cc, *FLAGS, "-o", tmp, str(SOURCE), *LIBS],
+                              capture_output=True, text=True, timeout=120)
+        if proc.returncode != 0:
+            msg = (proc.stderr.strip().splitlines() or ["no output"])[0]
+            raise KernelUnavailable(f"kernel build failed: {msg}")
+        os.replace(tmp, lib)
+    except (OSError, subprocess.SubprocessError) as e:
+        raise KernelUnavailable(f"kernel build failed: {e}")
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return lib
+
+
+def load():
+    """The kernel's ``zrh_run`` entry point, built and loaded on the first
+    call; None, with one RuntimeWarning naming the reason, when it cannot
+    be built or loaded."""
+    if not _loaded:
+        try:
+            try:
+                fn = ctypes.CDLL(str(_library())).zrh_run
+            except OSError as e:
+                raise KernelUnavailable(f"cannot load the kernel: {e}")
+            fn.argtypes = [ctypes.POINTER(State)]
+            fn.restype = None
+        except KernelUnavailable as e:
+            warnings.warn(f"zrhydro: {e}; running the Python event loop",
+                          RuntimeWarning, stacklevel=2)
+            fn = None
+        _loaded.append(fn)
+    return _loaded[0]

@@ -80,7 +80,8 @@ def cmd_simulate(args):
                      "exited_left": rec.exited_left,
                      "exited_right": rec.exited_right,
                      "events": rec.n_events,
-                     "wall_time_s": round(rec.wall_time, 3)})
+                     "wall_time_s": round(rec.wall_time, 3),
+                     "kernel": rec.kernel})
     with open(args.out, "w") as f:
         f.write("replica,t,u,density\n")
         for rep, t, u, v in rows:

@@ -56,16 +56,22 @@ class BasicCouplingEngine(GillespieLoop):
     therefore scale * max(g(omega_x), g(varpi_x)).
     """
 
+    _MODE, _OCC = 1, ("_a", "_b")
+
     def __init__(self, pair: PairConfiguration, params: ModelParams,
                  rate: RateFunction, rng: np.random.Generator,
                  leak_fraction: float = 1e-3,
                  max_events: int = 500_000_000,
                  order_guard: bool = False):
-        super().__init__(pair.omega.x_min, len(pair.omega.occ), params, rate,
-                         rng, leak_fraction, max_events)
+        super().__init__(pair.omega.x_min, len(pair.omega.occ),
+                         pair.omega.closed, params, rate, rng, leak_fraction,
+                         max_events)
         self.pair = pair
-        self.order_violations = 0
         self.order_guard = order_guard
+        ca, cb = pair.omega, pair.varpi
+        # destroyed, left and right exits of each copy, order violations
+        self._cnt = [ca.destroyed_count, ca.exited_left, ca.exited_right,
+                     cb.destroyed_count, cb.exited_left, cb.exited_right, 0]
 
         self._a = [int(k) for k in pair.omega.occ]
         self._b = [int(k) for k in pair.varpi.occ]
@@ -74,14 +80,19 @@ class BasicCouplingEngine(GillespieLoop):
         self._scale = [float(params.N)] * self._n
         if self._origin >= 0:
             self._scale[self._origin] = params.N * (1.0 + aNb)
-        self._mass0 = (sum(self._a) + pair.omega.destroyed_count
-                       + pair.omega.exited_left + pair.omega.exited_right,
-                       sum(self._b) + pair.varpi.destroyed_count
-                       + pair.varpi.exited_left + pair.varpi.exited_right)
-        self._start(max(max(self._a, default=0), max(self._b, default=0)),
+        self._mass0 = (sum(self._a) + sum(self._cnt[:3]),
+                       sum(self._b) + sum(self._cnt[3:6]))
+        self._start(max(sum(self._a), sum(self._b)),
                     self._mass0[0] + self._mass0[1])
         if order_guard and any(a > b for a, b in zip(self._a, self._b)):
             raise ValueError("order guard requires omega <= varpi initially")
+
+    @property
+    def order_violations(self) -> int:
+        return int(self._cnt[6])
+
+    def _kernel_fields(self):
+        return {"d0": self._d0, "guard": self.order_guard}
 
     def occupations_omega(self) -> np.ndarray:
         return np.array(self._a, dtype=np.int64)
@@ -93,8 +104,12 @@ class BasicCouplingEngine(GillespieLoop):
         return self._scale[i] * max(self._gt[self._a[i]], self._gt[self._b[i]])
 
     def _sync(self):
-        self.pair.omega.occ = self.occupations_omega()
-        self.pair.varpi.occ = self.occupations_varpi()
+        ca, cb = self.pair.omega, self.pair.varpi
+        ca.occ = self.occupations_omega()
+        cb.occ = self.occupations_varpi()
+        (ca.destroyed_count, ca.exited_left, ca.exited_right,
+         cb.destroyed_count, cb.exited_left, cb.exited_right) = (
+            int(k) for k in self._cnt[:6])
 
     def _record_counts(self):
         ca = self.pair.omega
@@ -103,12 +118,10 @@ class BasicCouplingEngine(GillespieLoop):
     def _step(self):
         a, b, rates, scale, gt = self._a, self._b, self._rates, self._scale, \
             self._gt
-        upd = self._tree.update
-        grow, leak = self._grow_g, self._check_leak
+        cnt = self._cnt
+        upd, leak = self._tree.update, self._check_leak
         n, origin, p, d0 = self._n, self._origin, self.params.p, self._d0
-        ca, cb = self.pair.omega, self.pair.varpi
-        closed = ca.closed
-        guard = self.order_guard
+        closed, guard = self._closed, self.order_guard
 
         def step(x, uch, u, total):
             ka, kb = a[x], b[x]
@@ -124,10 +137,10 @@ class BasicCouplingEngine(GillespieLoop):
             if x == origin and u < d0:
                 if move_a:
                     a[x] = ka - 1
-                    ca.destroyed_count += 1
+                    cnt[0] += 1
                 if move_b:
                     b[x] = kb - 1
-                    cb.destroyed_count += 1
+                    cnt[3] += 1
             else:
                 if x == origin:
                     go_right = u < d0 + (1.0 - d0) * p
@@ -136,20 +149,14 @@ class BasicCouplingEngine(GillespieLoop):
                 y = x + 1 if go_right else x - 1
                 if y < 0 or y >= n:
                     if not closed:
+                        side = 1 if y < 0 else 2
                         if move_a:
                             a[x] = ka - 1
-                            if y < 0:
-                                ca.exited_left += 1
-                            else:
-                                ca.exited_right += 1
+                            cnt[side] += 1
                         if move_b:
                             b[x] = kb - 1
-                            if y < 0:
-                                cb.exited_left += 1
-                            else:
-                                cb.exited_right += 1
-                        leak(ca.exited_left + ca.exited_right
-                             + cb.exited_left + cb.exited_right)
+                            cnt[3 + side] += 1
+                        leak(cnt[1] + cnt[2] + cnt[4] + cnt[5])
                 else:
                     if move_a:
                         a[x] = ka - 1
@@ -157,20 +164,17 @@ class BasicCouplingEngine(GillespieLoop):
                     if move_b:
                         b[x] = kb - 1
                         b[y] += 1
-                    top = max(a[y], b[y]) + 2
-                    if top >= len(gt):
-                        grow(top)
                     dy = scale[y] * max(gt[a[y]], gt[b[y]]) - rates[y]
                     rates[y] += dy
                     upd(y, dy)
                     total += dy
                     if guard and (a[y] > b[y]):
-                        self.order_violations += 1
+                        cnt[6] += 1
             dx = scale[x] * max(gt[a[x]], gt[b[x]]) - rates[x]
             rates[x] += dx
             upd(x, dx)
             if guard and (a[x] > b[x]):
-                self.order_violations += 1
+                cnt[6] += 1
             return total + dx
 
         return step
@@ -216,23 +220,30 @@ class SecondClassEngine(GillespieLoop):
     The sum omega + zeta is a plain zero-range trajectory.
     """
 
+    _MODE, _OCC = 2, ("_w", "_z")
+
     def __init__(self, initial: Configuration, params: ModelParams,
                  rate: RateFunction, rng: np.random.Generator,
                  leak_fraction: float = 1e-3,
                  max_events: int = 500_000_000):
-        super().__init__(initial.x_min, len(initial.occ), params, rate, rng,
-                         leak_fraction, max_events)
-        self.conversions = 0
+        super().__init__(initial.x_min, len(initial.occ), initial.closed,
+                         params, rate, rng, leak_fraction, max_events)
         self._w = [int(k) for k in initial.occ]
         self._z = [0] * self._n
         self._x_min = initial.x_min
-        self._closed = initial.closed
         self._conv_rate = params.alpha * float(params.N) ** (1.0 + params.beta)
         self._N = float(params.N)
         self._mass0 = sum(self._w)
-        self._exited_left = 0
-        self._exited_right = 0
-        self._start(max(self._w, default=0), self._mass0)
+        # conversions, left and right exits
+        self._cnt = [0, 0, 0]
+        self._start(self._mass0, self._mass0)
+
+    @property
+    def conversions(self) -> int:
+        return int(self._cnt[0])
+
+    def _kernel_fields(self):
+        return {"N": self._N, "conv": self._conv_rate}
 
     def _site_rate(self, i):
         r = self._N * self._gt[self._w[i] + self._z[i]]
@@ -253,12 +264,12 @@ class SecondClassEngine(GillespieLoop):
             raise SimulationError("pair-process mass conservation broken")
 
     def _record_counts(self):
-        return self.conversions, self._exited_left, self._exited_right
+        return tuple(int(k) for k in self._cnt)
 
     def _step(self):
-        w, z, rates, gt = self._w, self._z, self._rates, self._gt
-        upd = self._tree.update
-        grow, leak = self._grow_g, self._check_leak
+        w, z, rates, gt, cnt = self._w, self._z, self._rates, self._gt, \
+            self._cnt
+        upd, leak = self._tree.update, self._check_leak
         n, origin, p = self._n, self._origin, self.params.p
         N, conv, closed = self._N, self._conv_rate, self._closed
 
@@ -271,8 +282,6 @@ class SecondClassEngine(GillespieLoop):
         def step(x, uch, u, total):
             kw, kz = w[x], z[x]
             tot_occ = kw + kz
-            if tot_occ + 2 >= len(gt):
-                grow(tot_occ + 2)
             gw = gt[kw]
             gwz = gt[tot_occ]
             if gwz < gw:
@@ -285,7 +294,7 @@ class SecondClassEngine(GillespieLoop):
                 # conversion: omega-particle becomes a second-class particle
                 w[x] = kw - 1
                 z[x] = kz + 1
-                self.conversions += 1
+                cnt[0] += 1
             else:
                 if x == origin:
                     r -= conv * gw
@@ -297,11 +306,8 @@ class SecondClassEngine(GillespieLoop):
                             w[x] = kw - 1
                         else:
                             z[x] = kz - 1
-                        if y < 0:
-                            self._exited_left += 1
-                        else:
-                            self._exited_right += 1
-                        leak(self._exited_left + self._exited_right)
+                        cnt[1 if y < 0 else 2] += 1
+                        leak(cnt[1] + cnt[2])
                 else:
                     if moved_w:
                         w[x] = kw - 1
@@ -309,8 +315,6 @@ class SecondClassEngine(GillespieLoop):
                     else:
                         z[x] = kz - 1
                         z[y] += 1
-                    if w[y] + z[y] + 2 >= len(gt):
-                        grow(w[y] + z[y] + 2)
                     dy = site_rate(y) - rates[y]
                     rates[y] += dy
                     upd(y, dy)
@@ -345,32 +349,36 @@ class LabeledCouplingEngine(GillespieLoop):
     origin die instantly.
     """
 
+    _MODE, _OCC = 3, ("_omega", "_eta")
+
     def __init__(self, initial: Configuration, params: ModelParams,
                  rate: RateFunction, rng: np.random.Generator,
                  leak_fraction: float = 1e-3,
                  max_events: int = 500_000_000):
-        super().__init__(initial.x_min, len(initial.occ), params, rate, rng,
-                         leak_fraction, max_events)
+        super().__init__(initial.x_min, len(initial.occ), initial.closed,
+                         params, rate, rng, leak_fraction, max_events)
         N = float(params.N)
         sqrtN = math.sqrt(N)
         self._kill_p = params.alpha * sqrtN / (1.0 + params.alpha * sqrtN)
         self._scale = [N] * self._n
         self._eta = [int(k) for k in initial.occ]
         self._omega = [int(k) for k in initial.occ]
-        self._closed = initial.closed
         if self._origin >= 0:
             self._scale[self._origin] = N * (1.0 + params.alpha * sqrtN)
             # eta-particles at the origin die at time zero
             self._eta[self._origin] = 0
-        self._exited = 0
-        self._start(max(self._omega, default=0), sum(self._omega))
+        self._cnt = [0]  # exits
+        self._start(sum(self._omega), sum(self._omega))
+
+    def _kernel_fields(self):
+        return {"d0": self._kill_p}
 
     def _site_rate(self, i):
         return self._scale[i] * self._gt[self._omega[i]]
 
     def discrepancy(self) -> int:
         """Surviving uncoupled omega-particles: sum |eta - omega|."""
-        return sum(o - e for o, e in zip(self._omega, self._eta))
+        return int(sum(o - e for o, e in zip(self._omega, self._eta)))
 
     def run(self, t_end: float, max_events=None) -> int:
         """Run to ``t_end``; returns the discrepancy.  A run that starts at
@@ -382,8 +390,8 @@ class LabeledCouplingEngine(GillespieLoop):
     def _step(self):
         eta, omg, rates, scale, gt = self._eta, self._omega, self._rates, \
             self._scale, self._gt
-        upd = self._tree.update
-        grow, leak = self._grow_g, self._check_leak
+        cnt = self._cnt
+        upd, leak = self._tree.update, self._check_leak
         n, origin, p = self._n, self._origin, self.params.p
         kill_p, closed = self._kill_p, self._closed
 
@@ -403,13 +411,11 @@ class LabeledCouplingEngine(GillespieLoop):
                     if y < 0 or y >= n:
                         if not closed:
                             omg[x] = ko - 1
-                            self._exited += 1
-                            leak(self._exited)
+                            cnt[0] += 1
+                            leak(cnt[0])
                     else:
                         omg[x] = ko - 1
                         omg[y] += 1
-                        if omg[y] + 2 >= len(gt):
-                            grow(omg[y] + 2)
                         dy = scale[y] * gt[omg[y]] - rates[y]
                         rates[y] += dy
                         upd(y, dy)
@@ -422,8 +428,8 @@ class LabeledCouplingEngine(GillespieLoop):
                         omg[x] = ko - 1
                         if coupled:
                             eta[x] = ke - 1
-                        self._exited += 1
-                        leak(self._exited)
+                        cnt[0] += 1
+                        leak(cnt[0])
                 else:
                     omg[x] = ko - 1
                     omg[y] += 1
@@ -432,8 +438,6 @@ class LabeledCouplingEngine(GillespieLoop):
                         if y != origin:
                             eta[y] += 1
                         # arriving at the origin kills the eta-particle
-                    if omg[y] + 2 >= len(gt):
-                        grow(omg[y] + 2)
                     dy = scale[y] * gt[omg[y]] - rates[y]
                     rates[y] += dy
                     upd(y, dy)

@@ -10,6 +10,14 @@ method; site selection on a binary-indexed sum tree, so each event costs
 O(log window)).  It serves this module's single-copy ``EventEngine`` and
 the coupled engines in ``coupling``; a process supplies only its state,
 its per-site rate and its per-event rule.
+
+The loop runs most events in a compiled kernel (``_kernel.c``, built on
+first use by ``_ckernel``) that repeats the Python loop operation for
+operation, so both give bit-identical trajectories.  The kernel hands
+every event that needs Python back to the loop: buffer refills, observer
+times, audits, the event budget, the leak cap and empty-site picks.  The
+Python loop is the reference, and runs everything when no C compiler
+works; ``TrajectoryRecord.kernel`` says which one ran.
 """
 from __future__ import annotations
 
@@ -19,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _ckernel
 from .profiles import DensityProfile
 from .rates import RateFunction
 from .rng import UniformBlock
@@ -113,6 +122,8 @@ class TrajectoryRecord:
     destroyed_count: int
     exited_left: int
     exited_right: int
+    #: the event loop that ran: "c" (compiled kernel) or "python"
+    kernel: str = "python"
 
 
 class SnapshotObserver:
@@ -144,15 +155,20 @@ class SumTree:
         self.rebuild(values)
 
     def rebuild(self, values):
-        t = self.tree
+        """Node j sums values[j - lowbit(j):j] in index order, exactly as
+        adding each value to its ancestors one at a time would; a
+        running sum over the aligned blocks of each size gives them
+        all."""
         n = self.n
-        for i in range(n + 1):
-            t[i] = 0.0
-        for i, v in enumerate(values):
-            j = i + 1
-            while j <= n:
-                t[j] += v
-                j += j & (-j)
+        v = np.asarray(values, dtype=np.float64)
+        t = np.zeros(n + 1)
+        k = 1
+        while k <= n:
+            m = n // k
+            sums = np.add.accumulate(v[:m * k].reshape(m, k), axis=1)[:, -1]
+            t[k::2 * k] = sums[::2]
+            k *= 2
+        self.tree[:] = t.tolist()
 
     def update(self, i: int, delta: float):
         t = self.tree
@@ -183,7 +199,8 @@ class GillespieLoop:
     waiting time, the rate-proportional site (a sum-tree pick), the
     channel and the direction.  The loop also owns the observer schedule,
     the event budget, the leak cap, the audit cadence and the rate audit
-    itself, and the g table, which grows in place.
+    itself, and the g table, sized once to cover every occupation the
+    window's particles can reach.
 
     A process supplies its state and
     - ``_site_rate(i)``: the total event rate of site ``i``, from scratch;
@@ -192,15 +209,19 @@ class GillespieLoop:
       ``uch`` and ``u``, refreshes ``_rates`` and the tree at the sites it
       changed, and returns the new total rate, or None when ``x`` holds
       nothing that can move;
+    - its counters in the list ``_cnt``, and for the compiled kernel its
+      mode ``_MODE``, the names ``_OCC`` of its two occupation lists and
+      ``_kernel_fields()``, the process constants (see ``_kernel.c``);
     - optionally ``_sync()`` (publish state before observers and errors),
       ``_check_mass()`` (closed-window conservation, at each audit) and
       ``_record_counts()`` (the destroyed/exit counters ``run`` reports).
 
-    The closures capture the live lists, which audits and table growth
-    update in place, so they stay valid for the whole run.
+    The closures capture the live containers, which audits update in
+    place, so they stay valid for the whole run.  With the compiled kernel
+    those containers are numpy arrays that the kernel shares.
     """
 
-    def __init__(self, x_min: int, n: int, params: ModelParams,
+    def __init__(self, x_min: int, n: int, closed: bool, params: ModelParams,
                  rate: RateFunction, rng: np.random.Generator,
                  leak_fraction: float, max_events: int):
         self.params = params
@@ -211,18 +232,60 @@ class GillespieLoop:
         self.time = 0.0
         self.n_events = 0
         self._n = n
+        self._closed = closed
         x0 = -x_min
         self._origin = x0 if 0 <= x0 < n else -1
 
-    def _start(self, occ_max: int, mass: int):
+    def _start(self, particles: int, mass: int):
         """Build the g table, site rates and sum tree once the process's
-        state is in place; ``mass`` sets the leak cap."""
-        self._gt = list(self.rate.table(occ_max + 2))
+        state is in place, and bind the compiled kernel if one loads.
+        ``particles`` bounds every occupation (no event creates a
+        particle); ``mass`` sets the leak cap."""
+        self._gt = self.rate.table(particles + 2).tolist()
         self._rates = [self._site_rate(i) for i in range(self._n)]
         self._tree = SumTree(self._rates)
         self._total = math.fsum(self._rates)
         self._leak_cap = self.leak_fraction * max(mass, 1)
         self._ub = UniformBlock(self.rng)
+        fn = _ckernel.load()
+        self.kernel = "python" if fn is None else "c"
+        if fn is not None:
+            self._bind(fn)
+
+    def _bind(self, fn):
+        """Move the rate and state lists into numpy arrays that the kernel
+        and the step closures share, and fill in the kernel's constants."""
+        f64, i64 = np.float64, np.int64
+        self._gt = np.array(self._gt, dtype=f64)
+        self._rates = np.array(self._rates, dtype=f64)
+        self._tree.tree = np.array(self._tree.tree, dtype=f64)
+        self._cnt = np.array(self._cnt, dtype=i64)
+        for name in dict.fromkeys(self._OCC):
+            setattr(self, name, np.array(getattr(self, name), dtype=i64))
+        st = _ckernel.State(mode=self._MODE, n=self._n, origin=self._origin,
+                            closed=self._closed, p=self.params.p,
+                            leak_cap=self._leak_cap, **self._kernel_fields())
+        st.gt, st.rates, st.tree, st.cnt = (
+            a.ctypes.data for a in (self._gt, self._rates, self._tree.tree,
+                                    self._cnt))
+        st.a, st.b = (getattr(self, name).ctypes.data for name in self._OCC)
+        if hasattr(self, "_scale"):  # the second-class process has none
+            self._scale = np.array(self._scale, dtype=f64)
+            st.scale = self._scale.ctypes.data
+        self._st, self._st_buf, self._kernel_run = st, None, fn
+
+    def _stretch(self, t, total, events, t_stop, ev_max):
+        """Run compiled events from (t, total, events) up to the next one
+        that needs Python; returns the new (t, total, events)."""
+        st, ub = self._st, self._ub
+        if ub._buf is not self._st_buf:
+            self._st_buf = ub._buf
+            st.buf, st.buf_n = ub._buf.ctypes.data, len(ub._buf)
+        st.i, st.events, st.ev_max = ub._i, events, ev_max
+        st.t, st.total, st.t_stop = t, total, t_stop
+        self._kernel_run(st)
+        ub._i = st.i
+        return st.t, st.total, st.events
 
     # -- hooks -----------------------------------------------------------
 
@@ -234,12 +297,6 @@ class GillespieLoop:
 
     # -- shared checks ---------------------------------------------------
 
-    def _grow_g(self, k: int):
-        """Extend the g table in place until it covers occupation k."""
-        gt = self._gt
-        while k >= len(gt):
-            gt.extend(self.rate.table(2 * len(gt))[len(gt):])
-
     def _check_leak(self, exits: int):
         if exits > self._leak_cap:
             raise LeakageError("open-window exits exceeded "
@@ -248,15 +305,19 @@ class GillespieLoop:
     def verify_rates(self, rel_tol: float = RATE_REL_TOL):
         """Recompute all rates from scratch; raise on drift."""
         fresh = [self._site_rate(i) for i in range(self._n)]
-        for i, (a, b) in enumerate(zip(fresh, self._rates)):
-            if abs(a - b) > rel_tol * max(1.0, abs(a)):
-                raise RateConsistencyError(f"site {i}: {b} != {a}")
+        a = np.array(fresh, dtype=np.float64)
+        drift = np.abs(a - np.asarray(self._rates, dtype=np.float64))
+        bad = np.flatnonzero(drift > rel_tol * np.maximum(1.0, np.abs(a)))
+        if bad.size:
+            i = int(bad[0])
+            raise RateConsistencyError(
+                f"site {i}: {self._rates[i]} != {fresh[i]}")
         root = math.fsum(fresh)
         if abs(root - self._total) > rel_tol * max(1.0, root):
             raise RateConsistencyError(
                 f"running total {self._total} != rebuilt {root}")
         self._rates[:] = fresh
-        self._tree.rebuild(fresh)
+        self._tree.rebuild(a)
         self._total = root
 
     # -- main loop -------------------------------------------------------
@@ -271,7 +332,8 @@ class GillespieLoop:
         return TrajectoryRecord(
             t_end=self.time, n_events=self.n_events - events_start,
             wall_time=_time.perf_counter() - wall0,
-            destroyed_count=destroyed, exited_left=left, exited_right=right)
+            destroyed_count=destroyed, exited_left=left, exited_right=right,
+            kernel=self.kernel)
 
     def _loop(self, t_end: float, observers, max_events):
         budget = self.max_events if max_events is None else max_events
@@ -283,6 +345,7 @@ class GillespieLoop:
         step = self._step()
         nxt = self._ub.next
         find = self._tree.find
+        stretch = self._stretch if self.kernel == "c" else None
         log = math.log
         every = AUDIT_EVERY
         t = self.time
@@ -293,7 +356,15 @@ class GillespieLoop:
 
         try:
             while True:
-                if total <= 1e-300:
+                if stretch is not None:
+                    # compiled events, then this loop runs the one that
+                    # needs Python
+                    t, total, events = stretch(
+                        t, total, events,
+                        sched[si][0] if si < n_sched else t_end,
+                        min(limit, next_audit - 1))
+                if t >= t_end or total <= 1e-300:
+                    # at the end time already: draw nothing
                     t_ev = t_end + 1.0
                 else:
                     t_ev = t - log(1.0 - nxt()) / total
@@ -344,22 +415,28 @@ class GillespieLoop:
 class EventEngine(GillespieLoop):
     """Gillespie direct-method engine owning one Configuration."""
 
+    _MODE, _OCC = 0, ("_occ", "_occ")
+
     def __init__(self, config: Configuration, params: ModelParams,
                  rate: RateFunction, rng: np.random.Generator,
                  leak_fraction: float = LEAK_FRACTION,
                  max_events: int = 500_000_000):
-        super().__init__(config.x_min, len(config.occ), params, rate, rng,
-                         leak_fraction, max_events)
+        super().__init__(config.x_min, len(config.occ), config.closed,
+                         params, rate, rng, leak_fraction, max_events)
         self.config = config
         self._occ = [int(k) for k in config.occ]
+        self._cnt = [config.destroyed_count, config.exited_left,
+                     config.exited_right]
         aNb = params.destruction_factor
         self._d0 = aNb / (1.0 + aNb)
         self._scale = [float(params.N)] * self._n
         if self._origin >= 0:
             self._scale[self._origin] = params.N * (1.0 + aNb)
-        self._initial_total_mass = sum(self._occ) + config.destroyed_count \
-            + config.exited_left + config.exited_right
-        self._start(max(self._occ, default=0), self._initial_total_mass)
+        self._initial_total_mass = sum(self._occ) + sum(self._cnt)
+        self._start(sum(self._occ), self._initial_total_mass)
+
+    def _kernel_fields(self):
+        return {"d0": self._d0}
 
     def occupations(self) -> np.ndarray:
         return np.array(self._occ, dtype=np.int64)
@@ -368,12 +445,14 @@ class EventEngine(GillespieLoop):
         return self._scale[i] * self._gt[self._occ[i]]
 
     def _sync(self):
-        self.config.occ = self.occupations()
+        c = self.config
+        c.occ = self.occupations()
+        c.destroyed_count, c.exited_left, c.exited_right = (
+            int(k) for k in self._cnt)
 
     def _check_mass(self):
-        c = self.config
-        if c.closed:
-            now = sum(self._occ) + c.destroyed_count
+        if self._closed:
+            now = sum(self._occ) + self._cnt[0]
             if now != self._initial_total_mass:
                 raise SimulationError(
                     f"closed-window conservation broken: {now} != "
@@ -385,11 +464,10 @@ class EventEngine(GillespieLoop):
 
     def _step(self):
         occ, rates, scale, gt = self._occ, self._rates, self._scale, self._gt
-        upd = self._tree.update
-        grow, leak = self._grow_g, self._check_leak
+        cnt = self._cnt
+        upd, leak = self._tree.update, self._check_leak
         n, origin, p, d0 = self._n, self._origin, self.params.p, self._d0
-        c = self.config
-        closed = c.closed
+        closed = self._closed
 
         def step(x, uch, u, total):
             k = occ[x]
@@ -398,7 +476,7 @@ class EventEngine(GillespieLoop):
             if x == origin:
                 if u < d0:
                     occ[x] = k - 1
-                    c.destroyed_count += 1
+                    cnt[0] += 1
                     dx = scale[x] * gt[k - 1] - rates[x]
                     rates[x] += dx
                     upd(x, dx)
@@ -411,20 +489,15 @@ class EventEngine(GillespieLoop):
                 if closed:
                     return total  # reflecting edge: move rejected
                 occ[x] = k - 1
-                if y < 0:
-                    c.exited_left += 1
-                else:
-                    c.exited_right += 1
+                cnt[1 if y < 0 else 2] += 1
                 dx = scale[x] * gt[k - 1] - rates[x]
                 rates[x] += dx
                 upd(x, dx)
-                leak(c.exited_left + c.exited_right)
+                leak(cnt[1] + cnt[2])
                 return total + dx
             occ[x] = k - 1
             ky = occ[y]
             occ[y] = ky + 1
-            if ky + 2 >= len(gt):
-                grow(ky + 2)
             dy = scale[y] * gt[ky + 1] - rates[y]
             rates[y] += dy
             upd(y, dy)

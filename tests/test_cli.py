@@ -27,6 +27,21 @@ def test_simulate_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_simulate_kernels_write_identical_csv(tmp_path, c_kernel,
+                                            monkeypatch):
+    from zrhydro import _ckernel
+    args = ["simulate", "--N", "30", "--t-end", "0.3", "--replicas", "2",
+            "--seed", "5"]
+    main(args + ["--out", str(tmp_path / "c.csv")])
+    monkeypatch.setattr(_ckernel, "load", lambda: None)
+    main(args + ["--out", str(tmp_path / "py.csv")])
+    assert ((tmp_path / "c.csv").read_bytes()
+            == (tmp_path / "py.csv").read_bytes())
+    for name, kernel in (("c.csv.json", "c"), ("py.csv.json", "python")):
+        meta = json.loads((tmp_path / name).read_text())
+        assert [r["kernel"] for r in meta["replicas"]] == [kernel] * 2
+
+
 def test_couple_second_class(tmp_path):
     out = tmp_path / "couple.csv"
     rc = main(["couple", "--N", "30", "--t-end", "0.1", "--seed", "1",

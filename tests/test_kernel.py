@@ -1,0 +1,196 @@
+"""The compiled event kernel against the Python reference loop.
+
+Both loops must leave every engine in the same state bit for bit:
+occupations, counters, event count, clock, running total rate, and how
+far the random stream was read.  The runs here are long enough to cross
+two uniform-buffer refills and several audits.
+"""
+import os
+import shutil
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from zrhydro import _ckernel, coupling, engine
+from zrhydro.coupling import (BasicCouplingEngine, LabeledCouplingEngine,
+                              PairConfiguration, SecondClassEngine)
+from zrhydro.engine import (CallbackObserver, Configuration, EventEngine,
+                            ModelParams)
+from zrhydro.rates import rate_from_spec
+from zrhydro.rng import replica_stream
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+#: events per buffer refill: four uniforms per event
+REFILL_EVENTS = (1 << 16) // 4
+
+
+def _long_run(kind):
+    """Two runs of one engine on a closed 121-site window, with observers,
+    past two buffer refills; returns the engine and what it observed."""
+    gen = np.random.default_rng(7)
+    occ = gen.poisson(3.0, 121)
+    spec, beta, alpha = {"event": ("linear", 0.0, 0.2),
+                         "basic": ("table:0,1,1.5;slope=0.25", -0.5, 0.2),
+                         "second": ("linear", 0.0, 0.2),
+                         "labeled": ("linear", 1.0, 0.02)}[kind]
+    params = ModelParams(0.75, alpha, beta, 60)
+    rate = rate_from_spec(spec)
+    rng = replica_stream(11, 3)
+
+    def cfg(o):
+        return Configuration(-60, o.copy(), closed=True)
+    if kind == "event":
+        eng = EventEngine(cfg(occ), params, rate, rng)
+    elif kind == "basic":
+        eng = BasicCouplingEngine(
+            PairConfiguration(cfg(occ), cfg(occ + gen.poisson(1.0, 121))),
+            params, rate, rng, order_guard=True)
+    elif kind == "second":
+        eng = SecondClassEngine(cfg(occ), params, rate, rng)
+    else:
+        eng = LabeledCouplingEngine(cfg(occ), params, rate, rng)
+    seen = []
+    for t_end, times in ((1.0, (0.1, 0.5, 1.0)), (3.5, (1.7,))):
+        if kind == "labeled":
+            eng.run(t_end)
+        else:
+            obs = CallbackObserver(times, lambda t, e: seen.append(
+                (t, e.n_events, float(e._total).hex())))
+            eng.run(t_end, observers=[obs])
+    return eng, seen
+
+
+def _state(eng):
+    occ = [[int(k) for k in getattr(eng, name)] for name in eng._OCC]
+    return {"occ": occ, "counters": [int(k) for k in eng._cnt],
+            "n_events": eng.n_events, "time": eng.time.hex(),
+            "total": float(eng._total).hex(), "uniform_index": eng._ub._i,
+            "rng": repr(eng.rng.bit_generator.state)}
+
+
+@pytest.mark.parametrize("kind", ["event", "basic", "second", "labeled"])
+def test_kernel_matches_reference_past_refills(kind, c_kernel, monkeypatch):
+    for mod in (engine, coupling):
+        monkeypatch.setattr(mod, "AUDIT_EVERY", 10_000, raising=False)
+    eng, seen = _long_run(kind)
+    assert eng.kernel == "c"
+    assert eng.n_events > 2 * REFILL_EVENTS
+    monkeypatch.setattr(_ckernel, "load", lambda: None)
+    ref, ref_seen = _long_run(kind)
+    assert ref.kernel == "python"
+    assert _state(eng) == _state(ref)
+    assert seen == ref_seen
+
+
+def test_repeated_end_time_draws_nothing(kernel):
+    def make():
+        occ = np.random.default_rng(5).poisson(2.0, 21)
+        return EventEngine(Configuration(-10, occ, closed=True),
+                           ModelParams(0.75, 1.0, 0.0, 20),
+                           rate_from_spec("linear"), replica_stream(5, 0))
+    once, twice = make(), make()
+    once.run(0.4)
+    once.run(0.8)
+    twice.run(0.4)
+    fired = []
+    rec = twice.run(0.4, observers=[CallbackObserver(
+        [0.4], lambda t, e: fired.append(t))])
+    assert fired == [0.4] and rec.n_events == 0 and rec.kernel == kernel
+    twice.run(0.8)
+    assert _state(once) == _state(twice)
+
+
+def test_import_neither_builds_nor_loads_the_kernel(tmp_path):
+    code = ("import zrhydro, zrhydro.cli, zrhydro.coupling, zrhydro.harness\n"
+            "from zrhydro import _ckernel\n"
+            "assert _ckernel._loaded == [], _ckernel._loaded\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC),
+               XDG_CACHE_HOME=str(tmp_path))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert not (tmp_path / "zrhydro").exists()
+
+
+def test_concurrent_first_use_builds_once_safely(tmp_path):
+    # processes that start together with an empty cache each build to a
+    # temporary file and rename it into place; every one loads a whole
+    # library
+    if shutil.which(_ckernel.COMPILER) is None:
+        pytest.skip("no C compiler")
+    code = ("import warnings; warnings.simplefilter('error')\n"
+            "import numpy as np\n"
+            "from zrhydro.engine import (Configuration, EventEngine, "
+            "ModelParams)\n"
+            "from zrhydro.rates import linear_rate\n"
+            "from zrhydro.rng import replica_stream\n"
+            "eng = EventEngine(Configuration(-5, np.full(11, 2), True), "
+            "ModelParams(0.75, 1.0, 0.0, 10), linear_rate(), "
+            "replica_stream(1, 0))\n"
+            "assert eng.run(0.1).kernel == 'c'\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC),
+               XDG_CACHE_HOME=str(tmp_path))
+    procs = [subprocess.Popen([sys.executable, "-c", code], env=env,
+                              stderr=subprocess.PIPE, text=True)
+             for _ in range(3)]
+    for proc in procs:
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+    assert [p.suffix for p in (tmp_path / "zrhydro").iterdir()] == [".so"]
+
+
+@pytest.fixture
+def fresh_cache(tmp_path, monkeypatch):
+    """An empty kernel cache and no kernel loaded yet in this process."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(_ckernel, "_loaded", [])
+    return tmp_path / "zrhydro"
+
+
+def _engine():
+    return EventEngine(Configuration(-5, np.full(11, 2), closed=True),
+                       ModelParams(0.75, 1.0, 0.0, 10),
+                       rate_from_spec("linear"), replica_stream(1, 0))
+
+
+def test_no_compiler_falls_back_with_one_warning(fresh_cache, monkeypatch):
+    monkeypatch.setattr(_ckernel, "COMPILER", "zrh-no-such-compiler")
+    with pytest.warns(RuntimeWarning, match="no C compiler") as caught:
+        first, second = _engine(), _engine()
+    assert len(caught) == 1
+    assert first.kernel == second.kernel == "python"
+    assert first.run(0.5).kernel == "python"
+
+
+def test_failed_build_falls_back(fresh_cache, monkeypatch, tmp_path):
+    if shutil.which(_ckernel.COMPILER) is None:
+        pytest.skip("no C compiler")
+    bad = tmp_path / "broken.c"
+    bad.write_text("this is not C\n")
+    monkeypatch.setattr(_ckernel, "SOURCE", bad)
+    with pytest.warns(RuntimeWarning, match="kernel build failed"):
+        assert _engine().kernel == "python"
+    assert not list(fresh_cache.glob("*.tmp"))
+
+
+def test_build_is_cached_by_source_and_flags(fresh_cache, monkeypatch):
+    if shutil.which(_ckernel.COMPILER) is None:
+        pytest.skip("no C compiler")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _engine().kernel == "c"
+    built = list(fresh_cache.iterdir())
+    assert len(built) == 1 and built[0].suffix == ".so"
+    # a second process finds the library without a compiler
+    monkeypatch.setattr(_ckernel, "_loaded", [])
+    monkeypatch.setattr(_ckernel, "COMPILER", "zrh-no-such-compiler")
+    assert _engine().kernel == "c"
+    # other flags name another library
+    monkeypatch.setattr(_ckernel, "_loaded", [])
+    monkeypatch.setattr(_ckernel, "FLAGS", _ckernel.FLAGS + ("-g",))
+    with pytest.warns(RuntimeWarning, match="no C compiler"):
+        assert _engine().kernel == "python"

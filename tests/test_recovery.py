@@ -1,55 +1,119 @@
-"""Recovery paths of the event loop: empty-site picks and the leak cap."""
+"""Recovery paths of the event loop on both kernels: empty-site picks,
+the event budget and the leak cap."""
 import numpy as np
 import pytest
 
+from zrhydro import _ckernel
 from zrhydro.coupling import (BasicCouplingEngine, LabeledCouplingEngine,
                               PairConfiguration, SecondClassEngine)
-from zrhydro.engine import (Configuration, EventEngine, LeakageError,
-                            ModelParams, SumTree)
+from zrhydro.engine import (Configuration, EventBudgetError, EventEngine,
+                            GillespieLoop, LeakageError, ModelParams)
 from zrhydro.rates import linear_rate
 from zrhydro.rng import replica_stream
 
+KINDS = ["event", "basic", "second", "labeled"]
 EMPTY = 40
 
 
-def _make(kind, occ, params, closed=True):
+def _make(kind, occ, params, closed=True, **kw):
     def cfg():
         return Configuration(-50, np.array(occ, dtype=np.int64), closed)
     rng = replica_stream(21, 0)
     if kind == "event":
-        return EventEngine(cfg(), params, linear_rate(), rng)
+        return EventEngine(cfg(), params, linear_rate(), rng, **kw)
     if kind == "basic":
         return BasicCouplingEngine(PairConfiguration(cfg(), cfg()), params,
-                                   linear_rate(), rng)
+                                   linear_rate(), rng, **kw)
     if kind == "second":
-        return SecondClassEngine(cfg(), params, linear_rate(), rng)
-    return LabeledCouplingEngine(cfg(), params, linear_rate(), rng)
+        return SecondClassEngine(cfg(), params, linear_rate(), rng, **kw)
+    return LabeledCouplingEngine(cfg(), params, linear_rate(), rng, **kw)
 
 
-@pytest.mark.parametrize("kind", ["event", "basic", "second", "labeled"])
-def test_empty_site_pick_rebuilds_and_finishes(kind, monkeypatch):
+def _params(kind):
+    return ModelParams(0.75, 1.0, 1.0 if kind == "labeled" else 0.0, 50)
+
+
+def _empty_site_run(kind, monkeypatch):
     # a rate-proportional pick can land on an empty site only through
-    # float round-off in the tree; force one and check the run recovers
-    params = ModelParams(0.75, 1.0, 1.0 if kind == "labeled" else 0.0, 50)
+    # float round-off in the tree; a huge weight on an empty site in the
+    # tree alone forces one at the first event, and the audit it triggers
+    # must find the per-site rates consistent and rebuild the tree
     occ = [3] * 101
     occ[EMPTY] = 0
-    eng = _make(kind, occ, params)
-    find = SumTree.find
-    forced = []
+    eng = _make(kind, occ, _params(kind))
+    eng._tree.update(EMPTY, 1e6)
+    audits = []
+    verify = GillespieLoop.verify_rates
 
-    def find_once(tree, u):
-        if not forced:
-            forced.append(u)
-            return EMPTY
-        return find(tree, u)
+    def spy(self, *args):
+        audits.append(self.n_events)
+        return verify(self, *args)
 
-    monkeypatch.setattr(SumTree, "find", find_once)
+    monkeypatch.setattr(GillespieLoop, "verify_rates", spy)
     eng.run(0.2)
-    assert forced and eng.n_events > 0
-    eng.verify_rates()
+    assert audits[0] == 0 and len(audits) >= 2
+    assert eng.n_events > 0
+    verify(eng)
+    return eng
 
 
-def test_labeled_origin_exit_hits_leak_cap():
+@pytest.mark.parametrize("kind", KINDS)
+def test_empty_site_pick_rebuilds_and_finishes(kind, monkeypatch, c_kernel):
+    assert _empty_site_run(kind, monkeypatch).kernel == "c"
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_empty_site_pick_rebuilds_and_finishes_python_loop(
+        kind, monkeypatch, python_loop):
+    assert _empty_site_run(kind, monkeypatch).kernel == "python"
+
+
+def _state(eng):
+    """Time, events, total rate, occupations and counters, exactly."""
+    occ = [[int(k) for k in getattr(eng, name)] for name in eng._OCC]
+    return (eng.time.hex(), eng.n_events, float(eng._total).hex(), occ,
+            [int(k) for k in eng._cnt], eng._ub._i)
+
+
+def _failing_run(error, make, monkeypatch):
+    """Run ``make()`` into ``error`` on each loop; both must stop in the
+    same state."""
+    results = {}
+    for loop in ("c", "python"):
+        with monkeypatch.context() as m:
+            if loop == "python":
+                m.setattr(_ckernel, "load", lambda: None)
+            eng = make()
+            assert eng.kernel == loop
+            with pytest.raises(error):
+                eng.run(5.0)
+            results[loop] = _state(eng)
+    assert results["c"] == results["python"]
+    return results["c"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_event_budget_inside_compiled_stretch(kind, monkeypatch, c_kernel):
+    # the budget runs out far from any buffer refill or audit, inside a
+    # compiled stretch; the loop stops one event past it on both kernels
+    state = _failing_run(EventBudgetError, lambda: _make(
+        kind, [3] * 101, _params(kind), max_events=5000), monkeypatch)
+    assert state[1] == 5001
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_leak_cap_inside_compiled_stretch(kind, monkeypatch, c_kernel):
+    # an open window with particles next to its right edge: the exit that
+    # passes a tenth of the mass comes over a thousand events into the run
+    occ = [3] * 101
+    occ[-3:] = [20, 20, 20]
+    state = _failing_run(LeakageError, lambda: _make(
+        kind, occ, _params(kind), closed=False, leak_fraction=0.1),
+        monkeypatch)
+    assert state[1] > 1000
+
+
+def _labeled_origin_exit():
     # the origin sits on the left edge: with alpha = 0 a quarter of the
     # origin's jumps leave the window there, far beyond the default cap
     # of 1e-3 of the mass
@@ -60,3 +124,11 @@ def test_labeled_origin_exit_hits_leak_cap():
                                 replica_stream(4, 0))
     with pytest.raises(LeakageError):
         eng.run(0.5)
+
+
+def test_labeled_origin_exit_hits_leak_cap(c_kernel):
+    _labeled_origin_exit()
+
+
+def test_labeled_origin_exit_hits_leak_cap_python_loop(python_loop):
+    _labeled_origin_exit()

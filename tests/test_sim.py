@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from zrhydro.engine import (Configuration, EventEngine, LeakageError,
-                            ModelParams, SnapshotObserver, block_average,
-                            build_initial, choose_window, empirical_density)
+                            ModelParams, SnapshotObserver, SumTree,
+                            block_average, build_initial, choose_window,
+                            empirical_density)
 from zrhydro.profiles import DensityProfile
 from zrhydro.rates import indicator_rate, linear_rate
 from zrhydro.rng import replica_stream
@@ -151,6 +154,22 @@ class TestEngine:
                                closed=True)
         eng.run(0.5)
         eng.verify_rates()  # must not raise
+
+
+class TestSumTree:
+    @given(st.lists(st.floats(0.0, 1e6), min_size=1, max_size=300))
+    def test_rebuild_adds_values_one_at_a_time(self, values):
+        # the vectorized rebuild must give the tree that adding each value
+        # to its ancestors in index order gives, bit for bit
+        n = len(values)
+        want = [0.0] * (n + 1)
+        for i, v in enumerate(values):
+            j = i + 1
+            while j <= n:
+                want[j] += v
+                j += j & (-j)
+        got = SumTree(values).tree
+        assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
 class TestObservables:
