@@ -123,7 +123,7 @@ class TrajectoryRecord:
     exited_left: int
     exited_right: int
     #: the event loop that ran: "c" (compiled kernel) or "python"
-    kernel: str = "python"
+    kernel: str
 
 
 class SnapshotObserver:
