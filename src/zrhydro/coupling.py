@@ -111,6 +111,15 @@ class BasicCouplingEngine(GillespieLoop):
          cb.destroyed_count, cb.exited_left, cb.exited_right) = (
             int(k) for k in self._cnt[:6])
 
+    def _check_mass(self):
+        if self._closed:
+            now = (int(sum(self._a) + sum(self._cnt[:3])),
+                   int(sum(self._b) + sum(self._cnt[3:6])))
+            if now != self._mass0:
+                raise SimulationError(
+                    f"closed-window conservation broken: {now} != "
+                    f"{self._mass0}")
+
     def _record_counts(self):
         ca = self.pair.omega
         return ca.destroyed_count, ca.exited_left, ca.exited_right

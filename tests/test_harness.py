@@ -1,8 +1,10 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
 
+from zrhydro import harness
 from zrhydro.harness import (ComparisonEntry, ExperimentSpec,
                              SuiteParseError, compare, parse_suite,
                              run_suite, worker_count, write_density_csv,
@@ -76,6 +78,20 @@ class TestCompare:
         rep = compare(spec)
         assert not rep.passed
         assert "FAIL" in rep.summary_lines()[0]
+
+    def test_wall_time_leaves_out_the_pde_solve(self, monkeypatch):
+        solve = harness.compose_theorem_solution
+
+        def slow_solve(*args, **kw):
+            time.sleep(0.5)
+            return solve(*args, **kw)
+
+        monkeypatch.setattr(harness, "compose_theorem_solution", slow_solve)
+        spec = ExperimentSpec(name="pde", N=(20,), times=(0.1, 0.2),
+                              replicas=1, target="pde", seed=3)
+        rep = compare(spec)
+        assert len(rep.entries) == 2
+        assert all(e.wall_time < 0.5 for e in rep.entries)
 
     def test_entry_pass_rule(self):
         e = ComparisonEntry(N=1, t=0.0, distance=0.2, se=0.0,

@@ -212,7 +212,7 @@ class TestKruzhkov:
         fam = [TestFunction2D(0.5, 0.4, 0.0, 0.3),
                TestFunction2D(0.5, 0.4, 0.4, 0.3)]
         M = default_M(lin_flux, alpha=1.0)
-        rep = kruzhkov_check(g, lin_flux, bd, fam, M=M, search_M=True)
+        rep = kruzhkov_check(g, lin_flux, bd, fam, M=M)
         assert rep.passed
         assert rep.smallest_M is not None and rep.smallest_M <= M
 

@@ -1,5 +1,6 @@
 """Recovery paths of the event loop on both kernels: empty-site picks,
-the event budget and the leak cap."""
+the event budget, the leak cap and the closed-window conservation
+audit."""
 import numpy as np
 import pytest
 
@@ -7,7 +8,8 @@ from zrhydro import _ckernel
 from zrhydro.coupling import (BasicCouplingEngine, LabeledCouplingEngine,
                               PairConfiguration, SecondClassEngine)
 from zrhydro.engine import (Configuration, EventBudgetError, EventEngine,
-                            GillespieLoop, LeakageError, ModelParams)
+                            GillespieLoop, LeakageError, ModelParams,
+                            SimulationError)
 from zrhydro.rates import linear_rate
 from zrhydro.rng import replica_stream
 
@@ -132,3 +134,20 @@ def test_labeled_origin_exit_hits_leak_cap(c_kernel):
 
 def test_labeled_origin_exit_hits_leak_cap_python_loop(python_loop):
     _labeled_origin_exit()
+
+
+@pytest.mark.parametrize("kind", ["event", "basic", "second"])
+def test_conservation_audit_fires(kind, kernel):
+    # a recorded initial mass one above the window's: the end-of-run audit
+    # of a closed window must find the mismatch
+    eng = _make(kind, [3] * 101, _params(kind))
+    if kind == "event":
+        eng._initial_total_mass += 1
+    elif kind == "basic":
+        eng._mass0 = (eng._mass0[0] + 1, eng._mass0[1])
+    else:
+        eng._mass0 += 1
+    assert eng.kernel == kernel
+    with pytest.raises(SimulationError, match="conservation"):
+        eng.run(0.05)
+    assert eng.n_events > 0
