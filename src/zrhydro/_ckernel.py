@@ -33,7 +33,7 @@ class State(ctypes.Structure):
 
     _fields_ = [(name, _i64) for name in
                 ("mode", "n", "origin", "closed", "guard")] + \
-        [(name, _f64) for name in ("p", "d0", "N", "conv", "leak_cap")] + \
+        [(name, _f64) for name in ("p", "d0", "conv", "leak_cap")] + \
         [(name, _ptr) for name in
          ("gt", "scale", "rates", "tree", "a", "b", "cnt", "buf")] + \
         [(name, _i64) for name in ("buf_n", "i", "events", "ev_max")] + \

@@ -12,9 +12,8 @@
  * needs Python: fewer than four uniforms left in the buffer, a total rate
  * at or below 1e-300, a waiting time that reaches t_stop (the next observer
  * time, or the end time), an event count that reaches ev_max (an audit or
- * the event budget), an empty-site pick, an exit beyond the leak cap, or a
- * rate table that breaks monotonicity (second class).  The caller then runs
- * that one event in Python.
+ * the event budget), an empty-site pick or an exit beyond the leak cap.
+ * The caller then runs that one event in Python.
  */
 #include <math.h>
 #include <stdint.h>
@@ -24,16 +23,17 @@ enum { EVENT = 0, BASIC = 1, SECOND = 2, LABELED = 3 };
 typedef struct {
     int64_t mode, n, origin, closed, guard;
     /* EVENT/BASIC: d0 is the destruction share of an origin event;
-     * LABELED: d0 is the kill share; SECOND: N and conv are the jump and
-     * conversion rate factors */
-    double p, d0, N, conv, leak_cap;
+     * LABELED: d0 is the kill share; SECOND: conv is the conversion rate
+     * factor */
+    double p, d0, conv, leak_cap;
     const double *gt, *scale;
     double *rates, *tree;
     /* occupations: EVENT occ; BASIC omega, varpi; SECOND omega, zeta;
      * LABELED omega, eta */
     int64_t *a, *b;
     /* counters: EVENT/SECOND destroyed (or converted), left, right exits;
-     * BASIC the same per copy, then order violations; LABELED exits */
+     * BASIC the same per copy, then order violations; LABELED exits,
+     * origin kills */
     int64_t *cnt;
     const double *buf;
     int64_t buf_n, i, events, ev_max;
@@ -75,7 +75,7 @@ static double gmax(const double *gt, int64_t ka, int64_t kb)
 
 static double second_rate(const zrh_state *s, int64_t i)
 {
-    double r = s->N * s->gt[s->a[i] + s->b[i]];
+    double r = s->scale[i] * s->gt[s->a[i] + s->b[i]];
     if (i == s->origin)
         r += s->conv * s->gt[s->a[i]];
     return r;
@@ -193,10 +193,8 @@ static int step_second(zrh_state *s, int64_t x, double uch, double u,
     const double *gt = s->gt;
     int64_t kw = w[x], kz = z[x];
     double gw = gt[kw], gwz = gt[kw + kz];
-    if (gwz < gw)
-        return 1;
     int at_origin = x == s->origin;
-    double site_total = s->N * gwz + (at_origin ? s->conv * gw : 0.0);
+    double site_total = s->scale[x] * gwz + (at_origin ? s->conv * gw : 0.0);
     if (site_total <= 0.0)
         return 1;
     double r = uch * site_total;
@@ -208,7 +206,7 @@ static int step_second(zrh_state *s, int64_t x, double uch, double u,
     } else {
         if (at_origin)
             r -= s->conv * gw;
-        int moved_w = r < s->N * gw;
+        int moved_w = r < s->scale[x] * gw;
         int64_t y = u < s->p ? x + 1 : x - 1;
         if (y < 0 || y >= s->n) {
             if (!s->closed) {
@@ -250,6 +248,7 @@ static int step_labeled(zrh_state *s, int64_t x, double uch, double u,
     if (x == s->origin) {
         if (u < s->d0) {
             omg[x] = ko - 1;
+            s->cnt[1] += 1;
             *total = t + refresh(s, x, scale[x] * gt[omg[x]]);
             return 0;
         }

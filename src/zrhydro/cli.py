@@ -104,10 +104,11 @@ def cmd_couple(args):
     window = choose_window(rho0.support(), params, args.t_end,
                            args.window_margin)
     rows = []
+    if args.preset is not None:
+        thermo = ThermoTable(rate, rho_max=4.0)
     for rep in range(args.replicas):
         rng = replica_stream(args.seed, rep)
         if args.preset is not None:
-            thermo = ThermoTable(rate, rho_max=4.0)
             prof = preset_profile(args.preset, params,
                                   args.preset_density, thermo, window)
             cfg = sample_stationary(prof, thermo, rng)
@@ -118,7 +119,7 @@ def cmd_couple(args):
             eng.run(args.t_end)
             st = eng.state()
             rows.append((args.t_end, st.conversions,
-                         second_class_left_mass(st, params.N), ""))
+                         _fmt(second_class_left_mass(st, params.N)), ""))
         elif args.mode == "labeled":
             eng = LabeledCouplingEngine(cfg, params, rate, rng)
             disc = eng.run(args.t_end)
@@ -133,7 +134,7 @@ def cmd_couple(args):
     with open(args.out, "w") as f:
         f.write("t,k_t,left_mass,discrepancy\n")
         for t, k, lm, d in rows:
-            f.write(f"{_fmt(t)},{k},{lm and _fmt(lm)},{d}\n")
+            f.write(f"{_fmt(t)},{k},{lm},{d}\n")
     return 0
 
 
@@ -164,9 +165,12 @@ def cmd_invariant(args):
             "sites": [{"x": s.x, "target": s.target, "mean_g": s.mean_g,
                        "se": s.se_g, "passed": s.passed}
                       for s in rep.sites]}
-    json.dump(doc, sys.stdout if args.out == "-" else open(args.out, "w"),
-              indent=2)
-    print()
+    text = json.dumps(doc, indent=2) + "\n"
+    if args.out == "-":
+        sys.stdout.write(text)
+    else:
+        with open(args.out, "w") as f:
+            f.write(text)
     return 0 if doc.get("stationarity", {}).get("passed", True) else 1
 
 

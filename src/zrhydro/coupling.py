@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import (Configuration, GillespieLoop, ModelParams,
-                     SimulationError, block_average)
+from .engine import Configuration, GillespieLoop, ModelParams, block_average
 from .profiles import DensityProfile
 from .rates import RateFunction
 from .thermo import ThermoTable
@@ -75,15 +74,8 @@ class BasicCouplingEngine(GillespieLoop):
 
         self._a = [int(k) for k in pair.omega.occ]
         self._b = [int(k) for k in pair.varpi.occ]
-        aNb = params.destruction_factor
-        self._d0 = aNb / (1.0 + aNb)
-        self._scale = [float(params.N)] * self._n
-        if self._origin >= 0:
-            self._scale[self._origin] = params.N * (1.0 + aNb)
-        self._mass0 = (sum(self._a) + sum(self._cnt[:3]),
-                       sum(self._b) + sum(self._cnt[3:6]))
-        self._start(max(sum(self._a), sum(self._b)),
-                    self._mass0[0] + self._mass0[1])
+        self._d0 = self._origin_scale(params.destruction_factor)
+        self._start(max(sum(self._a), sum(self._b)))
         if order_guard and any(a > b for a, b in zip(self._a, self._b)):
             raise ValueError("order guard requires omega <= varpi initially")
 
@@ -111,18 +103,9 @@ class BasicCouplingEngine(GillespieLoop):
          cb.destroyed_count, cb.exited_left, cb.exited_right) = (
             int(k) for k in self._cnt[:6])
 
-    def _check_mass(self):
-        if self._closed:
-            now = (int(sum(self._a) + sum(self._cnt[:3])),
-                   int(sum(self._b) + sum(self._cnt[3:6])))
-            if now != self._mass0:
-                raise SimulationError(
-                    f"closed-window conservation broken: {now} != "
-                    f"{self._mass0}")
-
-    def _record_counts(self):
-        ca = self.pair.omega
-        return ca.destroyed_count, ca.exited_left, ca.exited_right
+    def _balance(self):
+        return (int(sum(self._a) + sum(self._cnt[:3])),
+                int(sum(self._b) + sum(self._cnt[3:6])))
 
     def _step(self):
         a, b, rates, scale, gt = self._a, self._b, self._rates, self._scale, \
@@ -241,21 +224,21 @@ class SecondClassEngine(GillespieLoop):
         self._z = [0] * self._n
         self._x_min = initial.x_min
         self._conv_rate = params.alpha * float(params.N) ** (1.0 + params.beta)
-        self._N = float(params.N)
-        self._mass0 = sum(self._w)
+        # conversion, not destruction, acts at the origin: N everywhere
+        self._origin_scale(0.0)
         # conversions, left and right exits
         self._cnt = [0, 0, 0]
-        self._start(self._mass0, self._mass0)
+        self._start(sum(self._w))
 
     @property
     def conversions(self) -> int:
         return int(self._cnt[0])
 
     def _kernel_fields(self):
-        return {"N": self._N, "conv": self._conv_rate}
+        return {"conv": self._conv_rate}
 
     def _site_rate(self, i):
-        r = self._N * self._gt[self._w[i] + self._z[i]]
+        r = self._scale[i] * self._gt[self._w[i] + self._z[i]]
         if i == self._origin:
             r += self._conv_rate * self._gt[self._w[i]]
         return r
@@ -268,22 +251,20 @@ class SecondClassEngine(GillespieLoop):
                                self._closed),
             conversions=self.conversions)
 
-    def _check_mass(self):
-        if self._closed and sum(self._w) + sum(self._z) != self._mass0:
-            raise SimulationError("pair-process mass conservation broken")
-
-    def _record_counts(self):
-        return tuple(int(k) for k in self._cnt)
+    def _balance(self):
+        return (int(sum(self._w) + sum(self._z) + self._cnt[1]
+                    + self._cnt[2]),)
 
     def _step(self):
-        w, z, rates, gt, cnt = self._w, self._z, self._rates, self._gt, \
-            self._cnt
+        w, z, rates, scale, gt = self._w, self._z, self._rates, self._scale, \
+            self._gt
+        cnt = self._cnt
         upd, leak = self._tree.update, self._check_leak
         n, origin, p = self._n, self._origin, self.params.p
-        N, conv, closed = self._N, self._conv_rate, self._closed
+        conv, closed = self._conv_rate, self._closed
 
         def site_rate(i):
-            r = N * gt[w[i] + z[i]]
+            r = scale[i] * gt[w[i] + z[i]]
             if i == origin:
                 r += conv * gt[w[i]]
             return r
@@ -293,9 +274,7 @@ class SecondClassEngine(GillespieLoop):
             tot_occ = kw + kz
             gw = gt[kw]
             gwz = gt[tot_occ]
-            if gwz < gw:
-                raise SimulationError("rate monotonicity violated (H1)")
-            site_total = N * gwz + (conv * gw if x == origin else 0.0)
+            site_total = scale[x] * gwz + (conv * gw if x == origin else 0.0)
             if site_total <= 0.0:
                 return None
             r = uch * site_total
@@ -307,7 +286,7 @@ class SecondClassEngine(GillespieLoop):
             else:
                 if x == origin:
                     r -= conv * gw
-                moved_w = r < N * gw
+                moved_w = r < scale[x] * gw
                 y = x + 1 if u < p else x - 1
                 if y < 0 or y >= n:
                     if not closed:
@@ -366,24 +345,24 @@ class LabeledCouplingEngine(GillespieLoop):
                  max_events: int = 500_000_000):
         super().__init__(initial.x_min, len(initial.occ), initial.closed,
                          params, rate, rng, leak_fraction, max_events)
-        N = float(params.N)
-        sqrtN = math.sqrt(N)
-        self._kill_p = params.alpha * sqrtN / (1.0 + params.alpha * sqrtN)
-        self._scale = [N] * self._n
+        self._kill_p = self._origin_scale(
+            params.alpha * math.sqrt(float(params.N)))
         self._eta = [int(k) for k in initial.occ]
         self._omega = [int(k) for k in initial.occ]
         if self._origin >= 0:
-            self._scale[self._origin] = N * (1.0 + params.alpha * sqrtN)
             # eta-particles at the origin die at time zero
             self._eta[self._origin] = 0
-        self._cnt = [0]  # exits
-        self._start(sum(self._omega), sum(self._omega))
+        self._cnt = [0, 0]  # exits, origin kills
+        self._start(sum(self._omega))
 
     def _kernel_fields(self):
         return {"d0": self._kill_p}
 
     def _site_rate(self, i):
         return self._scale[i] * self._gt[self._omega[i]]
+
+    def _balance(self):
+        return (int(sum(self._omega) + sum(self._cnt)),)
 
     def discrepancy(self) -> int:
         """Surviving uncoupled omega-particles: sum |eta - omega|."""
@@ -414,6 +393,7 @@ class LabeledCouplingEngine(GillespieLoop):
                 # three-way split for an uncoupled particle at the origin
                 if u < kill_p:
                     omg[x] = ko - 1
+                    cnt[1] += 1
                 else:
                     rest = (u - kill_p) / (1.0 - kill_p)
                     y = x + 1 if rest < p else x - 1

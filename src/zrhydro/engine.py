@@ -209,12 +209,16 @@ class GillespieLoop:
       ``uch`` and ``u``, refreshes ``_rates`` and the tree at the sites it
       changed, and returns the new total rate, or None when ``x`` holds
       nothing that can move;
-    - its counters in the list ``_cnt``, and for the compiled kernel its
-      mode ``_MODE``, the names ``_OCC`` of its two occupation lists and
-      ``_kernel_fields()``, the process constants (see ``_kernel.c``);
-    - optionally ``_sync()`` (publish state before observers and errors),
-      ``_check_mass()`` (closed-window conservation, at each audit) and
-      ``_record_counts()`` (the destroyed/exit counters ``run`` reports).
+    - ``_balance()``: a tuple, one entry per copy, of the particles in
+      the window plus those destroyed (or killed) and those that exited;
+      no event changes it, so ``_check_mass`` compares it, at every audit
+      and at the end of every run, with its value at the start;
+    - its counters in the list ``_cnt``, the first three of which ``run``
+      reports as destroyed, left and right exits, and for the compiled
+      kernel its mode ``_MODE``, the names ``_OCC`` of its two occupation
+      lists and ``_kernel_fields()``, the process constants (see
+      ``_kernel.c``);
+    - optionally ``_sync()`` (publish state before observers and errors).
 
     The closures capture the live containers, which audits update in
     place, so they stay valid for the whole run.  With the compiled kernel
@@ -236,16 +240,26 @@ class GillespieLoop:
         x0 = -x_min
         self._origin = x0 if 0 <= x0 < n else -1
 
-    def _start(self, particles: int, mass: int):
+    def _origin_scale(self, factor: float) -> float:
+        """Set the per-site rate factors ``_scale``, N everywhere and
+        N (1 + factor) at the origin; returns the origin's extra share
+        factor / (1 + factor)."""
+        self._scale = [float(self.params.N)] * self._n
+        if self._origin >= 0:
+            self._scale[self._origin] = self.params.N * (1.0 + factor)
+        return factor / (1.0 + factor)
+
+    def _start(self, particles: int):
         """Build the g table, site rates and sum tree once the process's
         state is in place, and bind the compiled kernel if one loads.
         ``particles`` bounds every occupation (no event creates a
-        particle); ``mass`` sets the leak cap."""
+        particle); the starting balance sets the leak cap."""
         self._gt = self.rate.table(particles + 2).tolist()
         self._rates = [self._site_rate(i) for i in range(self._n)]
         self._tree = SumTree(self._rates)
         self._total = math.fsum(self._rates)
-        self._leak_cap = self.leak_fraction * max(mass, 1)
+        self._mass0 = self._balance()
+        self._leak_cap = self.leak_fraction * max(sum(self._mass0), 1)
         self._ub = UniformBlock(self.rng)
         fn = _ckernel.load()
         self.kernel = "python" if fn is None else "c"
@@ -269,9 +283,8 @@ class GillespieLoop:
             a.ctypes.data for a in (self._gt, self._rates, self._tree.tree,
                                     self._cnt))
         st.a, st.b = (getattr(self, name).ctypes.data for name in self._OCC)
-        if hasattr(self, "_scale"):  # the second-class process has none
-            self._scale = np.array(self._scale, dtype=f64)
-            st.scale = self._scale.ctypes.data
+        self._scale = np.array(self._scale, dtype=f64)
+        st.scale = self._scale.ctypes.data
         self._st, self._st_buf, self._kernel_run = st, None, fn
 
     def _stretch(self, t, total, events, t_stop, ev_max):
@@ -292,28 +305,32 @@ class GillespieLoop:
     def _sync(self):
         pass
 
-    def _check_mass(self):
-        pass
-
     # -- shared checks ---------------------------------------------------
+
+    def _check_mass(self):
+        now = self._balance()
+        if now != self._mass0:
+            raise SimulationError(
+                f"particle conservation broken: {now} != {self._mass0}")
 
     def _check_leak(self, exits: int):
         if exits > self._leak_cap:
             raise LeakageError("open-window exits exceeded "
                                f"{self.leak_fraction:g} of the mass")
 
-    def verify_rates(self, rel_tol: float = RATE_REL_TOL):
+    def verify_rates(self):
         """Recompute all rates from scratch; raise on drift."""
         fresh = [self._site_rate(i) for i in range(self._n)]
         a = np.array(fresh, dtype=np.float64)
         drift = np.abs(a - np.asarray(self._rates, dtype=np.float64))
-        bad = np.flatnonzero(drift > rel_tol * np.maximum(1.0, np.abs(a)))
+        bad = np.flatnonzero(
+            drift > RATE_REL_TOL * np.maximum(1.0, np.abs(a)))
         if bad.size:
             i = int(bad[0])
             raise RateConsistencyError(
                 f"site {i}: {self._rates[i]} != {fresh[i]}")
         root = math.fsum(fresh)
-        if abs(root - self._total) > rel_tol * max(1.0, root):
+        if abs(root - self._total) > RATE_REL_TOL * max(1.0, root):
             raise RateConsistencyError(
                 f"running total {self._total} != rebuilt {root}")
         self._rates[:] = fresh
@@ -328,7 +345,7 @@ class GillespieLoop:
         wall0 = _time.perf_counter()
         events_start = self.n_events
         self._loop(t_end, observers, max_events)
-        destroyed, left, right = self._record_counts()
+        destroyed, left, right = (int(k) for k in self._cnt[:3])
         return TrajectoryRecord(
             t_end=self.time, n_events=self.n_events - events_start,
             wall_time=_time.perf_counter() - wall0,
@@ -427,13 +444,8 @@ class EventEngine(GillespieLoop):
         self._occ = [int(k) for k in config.occ]
         self._cnt = [config.destroyed_count, config.exited_left,
                      config.exited_right]
-        aNb = params.destruction_factor
-        self._d0 = aNb / (1.0 + aNb)
-        self._scale = [float(params.N)] * self._n
-        if self._origin >= 0:
-            self._scale[self._origin] = params.N * (1.0 + aNb)
-        self._initial_total_mass = sum(self._occ) + sum(self._cnt)
-        self._start(sum(self._occ), self._initial_total_mass)
+        self._d0 = self._origin_scale(params.destruction_factor)
+        self._start(sum(self._occ))
 
     def _kernel_fields(self):
         return {"d0": self._d0}
@@ -450,17 +462,8 @@ class EventEngine(GillespieLoop):
         c.destroyed_count, c.exited_left, c.exited_right = (
             int(k) for k in self._cnt)
 
-    def _check_mass(self):
-        if self._closed:
-            now = sum(self._occ) + self._cnt[0]
-            if now != self._initial_total_mass:
-                raise SimulationError(
-                    f"closed-window conservation broken: {now} != "
-                    f"{self._initial_total_mass}")
-
-    def _record_counts(self):
-        c = self.config
-        return c.destroyed_count, c.exited_left, c.exited_right
+    def _balance(self):
+        return (int(sum(self._occ) + sum(self._cnt)),)
 
     def _step(self):
         occ, rates, scale, gt = self._occ, self._rates, self._scale, self._gt

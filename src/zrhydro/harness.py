@@ -166,21 +166,23 @@ def compare(spec: ExperimentSpec) -> ComparisonReport:
     the singular lines u = 0 and u = (2p-1)t when exclusion is on.
     A report is produced even when entries fail.  An entry's wall time
     is the replica runs of its N plus its own target evaluation and
-    metric; the PDE solve, shared by all times, is not in it.
+    metric; the PDE solve, shared by all N and times, is not in it.
     """
     report = ComparisonReport(spec=spec)
     rho0 = DensityProfile.from_spec(spec.rho0, du=spec.du)
     rate = rate_from_spec(spec.rate)
+    pde_solution = None
+    if spec.target == "pde":
+        # the solve reads p and alpha, never N
+        thermo = ThermoTable(rate, rho_max=max(4.0, 2 * rho0.values.max()))
+        pde_solution = compose_theorem_solution(
+            spec.beta, rho0, spec.model_params(spec.N[0]), thermo,
+            max(spec.times), du=spec.du)
     for N in spec.N:
         params = spec.model_params(N)
         wall0 = _time.perf_counter()
         replica_profiles = run_replicas(spec, N, rho0, rate)
         replicas_time = _time.perf_counter() - wall0
-        pde_solution = None
-        if spec.target == "pde":
-            thermo = ThermoTable(rate, rho_max=max(4.0, 2 * rho0.values.max()))
-            pde_solution = compose_theorem_solution(
-                spec.beta, rho0, params, thermo, max(spec.times), du=spec.du)
         for ti, t in enumerate(spec.times):
             entry0 = _time.perf_counter()
             profs = [pr[ti][1] for pr in replica_profiles]

@@ -30,6 +30,8 @@ from .thermo import ThermoTable
 
 #: tolerance on the discrete balance residual
 RESIDUAL_TOL = 1e-10
+#: equally spaced observation times of a stationarity test
+STATIONARITY_TIMES = 10
 
 #: named constant choices used by the coupled-process experiments
 PRESETS = ("absorbing-critical", "absorbing-subcritical")
@@ -245,8 +247,7 @@ class StationarityReport:
 
 def stationarity_test(profile: StationaryProfile, rate: RateFunction,
                       thermo: ThermoTable, t_end: float, replicas: int,
-                      sites, master_seed: int = 0,
-                      n_times: int = 10) -> StationarityReport:
+                      sites, master_seed: int = 0) -> StationarityReport:
     """Empirical invariance check of the product measure.
 
     Each replica starts from an independent sample of the profile
@@ -260,7 +261,7 @@ def stationarity_test(profile: StationaryProfile, rate: RateFunction,
     idx = [x - profile.x_min for x in sites]
     if any(i < 0 or i >= len(profile.m) for i in idx):
         raise ValueError("observable site outside the profile window")
-    times = (np.linspace(0.0, t_end, n_times + 1)[1:] if t_end > 0
+    times = (np.linspace(0.0, t_end, STATIONARITY_TIMES + 1)[1:] if t_end > 0
              else np.array([0.0]))
     gvals = np.zeros((replicas, len(sites)))
     ovals = np.zeros((replicas, len(sites)))

@@ -18,6 +18,9 @@ from .profiles import DensityProfile
 
 #: escape cutoff for the killed walk, in units of sqrt(N) sites left of 0
 ESCAPE_SIGMAS = 4.0
+#: cap on the density ODE's mass leaving the window, as a share of the
+#: initial mass
+ODE_LEAK_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -80,14 +83,14 @@ class OdeCurve:
 
 def integrate_density_ode(rho0, params: ModelParams,
                           window: tuple[int, int], t_end: float,
-                          times=None, leak_tol: float = 1e-3) -> OdeCurve:
+                          times=None) -> OdeCurve:
     """Explicit-Euler integration of the linear-case density system.
 
     d/dt rho_x = N((1-p) rho_{x+1} + p rho_{x-1} - rho_x) away from the
     origin, with the extra destruction term -N alpha N^beta rho_0 at 0.
     The step obeys dt <= 0.5/(N(1+alpha N^beta)), which keeps the update
     a convex combination (non-negativity preserved).  Mass leaving the
-    window edges is tracked and capped at ``leak_tol`` of the initial
+    window edges is tracked and capped at ``ODE_LEAK_TOL`` of the initial
     mass.
     """
     x_lo, x_hi = window
@@ -127,7 +130,7 @@ def integrate_density_ode(rho0, params: ModelParams,
         leaked += dt * N * (p * rho[-1] + (1 - p) * rho[0])
         rho = rho + dt * drho
         t = (n + 1) * dt
-        if leaked > leak_tol * max(mass0, 1e-12):
+        if leaked > ODE_LEAK_TOL * max(mass0, 1e-12):
             raise RuntimeError(
                 f"density leaked past the window edges at t={t:g}")
         while ti < len(times) and times[ti] <= t + 1e-12:
@@ -185,9 +188,7 @@ def dual_rw_estimate(x: int, t: float, params: ModelParams, rho0,
 
 
 def killing_probability_experiment(params: ModelParams, start_site: int,
-                                   replicas: int,
-                                   rng: np.random.Generator,
-                                   horizon: float | None = None):
+                                   replicas: int, rng: np.random.Generator):
     """Empirical probability that the dual walk dies before escaping.
 
     A walk is declared escaped once it is ESCAPE_SIGMAS * sqrt(N) sites
@@ -200,8 +201,7 @@ def killing_probability_experiment(params: ModelParams, start_site: int,
     rate_right = N * (1.0 - params.p)
     kill = params.alpha * float(N) ** (1.0 + params.beta)
     cutoff = -int(math.ceil(ESCAPE_SIGMAS * math.sqrt(N)))
-    if horizon is None:
-        horizon = 40.0 * abs(cutoff) / (N * (2.0 * params.p - 1.0))
+    horizon = 40.0 * abs(cutoff) / (N * (2.0 * params.p - 1.0))
     killed = 0
     for r in range(replicas):
         pos = start_site

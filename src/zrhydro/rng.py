@@ -8,6 +8,9 @@ from __future__ import annotations
 
 import numpy as np
 
+#: uniforms drawn from the generator at a time
+BLOCK = 1 << 16
+
 
 def replica_stream(master_seed: int, replica_index: int = 0) -> np.random.Generator:
     """Independent generator for one replica of one experiment."""
@@ -21,19 +24,17 @@ class UniformBlock:
     couple of list operations instead of a Generator call per event.
     """
 
-    __slots__ = ("_gen", "_buf", "_i", "_n", "block")
+    __slots__ = ("_gen", "_buf", "_i")
 
-    def __init__(self, gen: np.random.Generator, block: int = 1 << 16):
+    def __init__(self, gen: np.random.Generator):
         self._gen = gen
-        self.block = block
-        self._buf = gen.random(block)
+        self._buf = gen.random(BLOCK)
         self._i = 0
-        self._n = block
 
     def next(self) -> float:
         i = self._i
-        if i >= self._n:
-            self._buf = self._gen.random(self.block)
+        if i >= BLOCK:
+            self._buf = self._gen.random(BLOCK)
             i = 0
         self._i = i + 1
         return self._buf[i]

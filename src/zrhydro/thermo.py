@@ -3,8 +3,8 @@
 Partition function Z(zeta), density R(zeta), the mean-jump-rate function
 Phi (inverse of R) and sampling of the product-measure site marginals.
 All series are evaluated by truncation: a term is dropped once it falls
-below ``tol`` times the partial sum, and growth of the term ratio signals
-divergence (fugacity at or beyond the radius of convergence).
+below ``SERIES_TOL`` times the partial sum, and growth of the term ratio
+signals divergence (fugacity at or beyond the radius of convergence).
 """
 from __future__ import annotations
 
@@ -22,6 +22,10 @@ TERM_BUDGET = 10_000
 GROWTH_RUN = 50
 #: absolute tolerance on zeta in the bisection defining Phi
 PHI_TOL = 1e-10
+#: fugacity grid points of a ThermoTable
+GRID_SIZE = 2048
+#: marginal pmfs stop at the first term below this
+PMF_TAIL_TOL = 1e-13
 
 
 class DivergenceError(ArithmeticError):
@@ -32,7 +36,7 @@ class DensityRangeError(ValueError):
     """Requested density outside the tabulated range."""
 
 
-def _series(rate: RateFunction, zeta: float, tol: float, weight_k: bool):
+def _series(rate: RateFunction, zeta: float, weight_k: bool):
     """Sum zeta^k / g(k)! (weighted by k if requested)."""
     if zeta < 0:
         raise ValueError("fugacity must be non-negative")
@@ -42,7 +46,7 @@ def _series(rate: RateFunction, zeta: float, tol: float, weight_k: bool):
     for k in range(1, TERM_BUDGET):
         term *= zeta / rate.g(k)
         total += k * term if weight_k else term
-        if term <= tol * total:
+        if term <= SERIES_TOL * total:
             return total
         # forward ratio test: next term / current term
         ratio = zeta / rate.g(k + 1)
@@ -57,21 +61,17 @@ def _series(rate: RateFunction, zeta: float, tol: float, weight_k: bool):
     raise DivergenceError(f"series for zeta={zeta:g} exhausted term budget")
 
 
-def partition_function(rate: RateFunction, zeta: float,
-                       tol: float = SERIES_TOL) -> float:
+def partition_function(rate: RateFunction, zeta: float) -> float:
     """Z(zeta) = sum_k zeta^k / g(k)!."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    return _series(rate, zeta, tol, weight_k=False)
+    return _series(rate, zeta, weight_k=False)
 
 
-def mean_density(rate: RateFunction, zeta: float,
-                 tol: float = SERIES_TOL) -> float:
+def mean_density(rate: RateFunction, zeta: float) -> float:
     """R(zeta), the mean occupation under the fugacity-zeta marginal."""
     if zeta == 0.0:
         return 0.0
-    num = _series(rate, zeta, tol, weight_k=True)
-    return num / partition_function(rate, zeta, tol)
+    num = _series(rate, zeta, weight_k=True)
+    return num / partition_function(rate, zeta)
 
 
 @dataclass
@@ -85,8 +85,6 @@ class ThermoTable:
 
     rate: RateFunction
     rho_max: float = 4.0
-    tol: float = PHI_TOL
-    grid_size: int = 2048
     zeta_star_estimate: float = field(init=False)
     zetas: np.ndarray = field(init=False, repr=False)
     densities: np.ndarray = field(init=False, repr=False)
@@ -94,7 +92,7 @@ class ThermoTable:
     def __post_init__(self):
         self.zeta_star_estimate = self.rate.sup_g
         zeta_hi = self._find_zeta_ceiling()
-        zetas = np.linspace(0.0, zeta_hi, self.grid_size)
+        zetas = np.linspace(0.0, zeta_hi, GRID_SIZE)
         dens = np.array([mean_density(self.rate, z) for z in zetas])
         if np.any(np.diff(dens) <= 0):
             raise ArithmeticError("tabulated density is not strictly increasing")
@@ -134,7 +132,7 @@ class ThermoTable:
         if rho == 0.0:
             return 0.0
         lo, hi = 0.0, float(self.zetas[-1])
-        while hi - lo > self.tol:
+        while hi - lo > PHI_TOL:
             mid = 0.5 * (lo + hi)
             if mean_density(self.rate, mid) < rho:
                 lo = mid
@@ -157,7 +155,7 @@ class ThermoTable:
 
     # -- sampling --------------------------------------------------------
 
-    def marginal_pmf(self, zeta: float, tail_tol: float = 1e-13) -> np.ndarray:
+    def marginal_pmf(self, zeta: float) -> np.ndarray:
         """Truncated pmf k -> zeta^k / (Z(zeta) g(k)!)."""
         Z = partition_function(self.rate, zeta)
         term = 1.0 / Z
@@ -165,7 +163,7 @@ class ThermoTable:
         for k in range(1, TERM_BUDGET):
             term *= zeta / self.rate.g(k)
             probs.append(term)
-            if term < tail_tol:
+            if term < PMF_TAIL_TOL:
                 return np.array(probs)
         raise DivergenceError("pmf tail does not decay")
 

@@ -60,12 +60,41 @@ def test_couple_labeled(tmp_path):
     assert len(out.read_text().splitlines()) == 2
 
 
-def test_invariant_json(tmp_path):
+def test_couple_writes_zero_left_mass_as_zero(tmp_path):
+    # alpha = 0: nothing converts, so no second-class mass is anywhere
+    out = tmp_path / "couple.csv"
+    rc = main(["couple", "--alpha", "0", "--N", "30", "--t-end", "0.1",
+               "--seed", "1", "--out", str(out)])
+    assert rc == 0
+    assert out.read_text().splitlines()[1] == "0.1,0,0,"
+
+
+def test_couple_preset_builds_one_table(tmp_path, monkeypatch):
+    from zrhydro import cli
+    built = []
+    table = cli.ThermoTable
+
+    def spy(*args, **kw):
+        built.append(args)
+        return table(*args, **kw)
+
+    monkeypatch.setattr(cli, "ThermoTable", spy)
+    out = tmp_path / "couple.csv"
+    rc = main(["couple", "--preset", "absorbing-critical", "--replicas", "2",
+               "--N", "30", "--t-end", "0.01", "--seed", "1",
+               "--out", str(out)])
+    assert rc == 0 and len(built) == 1
+    assert len(out.read_text().splitlines()) == 3
+
+
+def test_invariant_json(tmp_path, capsys):
     out = tmp_path / "inv.json"
     rc = main(["invariant", "--p", "1.0", "--alpha", "1", "--beta", "0",
                "--N", "40", "--m-plus", "1.0", "--half-window", "10",
                "--out", str(out)])
     assert rc == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text().endswith("}\n")
     doc = json.loads(out.read_text())
     assert doc["residual"] <= 1e-10
     assert doc["m"][0] == pytest.approx(2.0)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 from pathlib import Path
@@ -92,6 +93,26 @@ class TestCompare:
         rep = compare(spec)
         assert len(rep.entries) == 2
         assert all(e.wall_time < 0.5 for e in rep.entries)
+
+    def test_pde_target_solved_once(self, tmp_path, monkeypatch):
+        # the solve reads p and alpha, never N, so every N shares it; the
+        # CSV digest was recorded when each N still solved its own target
+        solve = harness.compose_theorem_solution
+        calls = []
+
+        def spy(*args, **kw):
+            calls.append(args)
+            return solve(*args, **kw)
+
+        monkeypatch.setattr(harness, "compose_theorem_solution", spy)
+        spec = ExperimentSpec(name="pde", N=(20, 30), times=(0.1, 0.2),
+                              replicas=1, target="pde", seed=3)
+        rep = compare(spec)
+        assert len(calls) == 1 and len(rep.entries) == 4
+        path = tmp_path / "pde.csv"
+        write_density_csv(path, rep)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "e1583f062bd2ca939605755a0e0f17a0d7ed11f32ab5b29dc99ab210eaedb4eb")
 
     def test_entry_pass_rule(self):
         e = ComparisonEntry(N=1, t=0.0, distance=0.2, se=0.0,

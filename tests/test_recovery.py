@@ -1,6 +1,5 @@
 """Recovery paths of the event loop on both kernels: empty-site picks,
-the event budget, the leak cap and the closed-window conservation
-audit."""
+the event budget, the leak cap and the particle-balance audit."""
 import numpy as np
 import pytest
 
@@ -136,18 +135,45 @@ def test_labeled_origin_exit_hits_leak_cap_python_loop(python_loop):
     _labeled_origin_exit()
 
 
-@pytest.mark.parametrize("kind", ["event", "basic", "second"])
+@pytest.mark.parametrize("kind", KINDS)
 def test_conservation_audit_fires(kind, kernel):
-    # a recorded initial mass one above the window's: the end-of-run audit
-    # of a closed window must find the mismatch
-    eng = _make(kind, [3] * 101, _params(kind))
-    if kind == "event":
-        eng._initial_total_mass += 1
-    elif kind == "basic":
-        eng._mass0 = (eng._mass0[0] + 1, eng._mass0[1])
-    else:
-        eng._mass0 += 1
-    assert eng.kernel == kernel
-    with pytest.raises(SimulationError, match="conservation"):
-        eng.run(0.05)
-    assert eng.n_events > 0
+    # a recorded starting balance one above the window's: the end-of-run
+    # audit must find the mismatch, on closed and open windows alike
+    for closed in (True, False):
+        eng = _make(kind, [3] * 101, _params(kind), closed=closed,
+                    leak_fraction=1.0)
+        eng._mass0 = (eng._mass0[0] + 1,) + eng._mass0[1:]
+        assert eng.kernel == kernel
+        with pytest.raises(SimulationError, match="conservation"):
+            eng.run(0.05)
+        assert eng.n_events > 0
+
+
+def test_closed_window_with_earlier_exits_keeps_balance(kernel):
+    # a closed configuration that arrives with an exit count, as one
+    # reused after an open run does: the exit stays in the balance
+    cfg = Configuration(-50, np.full(101, 3, dtype=np.int64), closed=True,
+                        exited_left=1)
+    eng = EventEngine(cfg, _params("event"), linear_rate(),
+                      replica_stream(21, 0))
+    rec = eng.run(0.05)
+    assert rec.kernel == kernel and rec.n_events > 0
+    assert (cfg.total_mass + cfg.destroyed_count, cfg.exited_left,
+            cfg.exited_right) == (303, 1, 0)
+
+
+def test_labeled_counts_origin_kills(monkeypatch, c_kernel):
+    # a closed labeled window loses omega-particles only to origin kills,
+    # which both loops count alike
+    def run():
+        eng = _make("labeled", [3] * 101, _params("labeled"))
+        eng.run(0.2)
+        return eng
+    eng = run()
+    monkeypatch.setattr(_ckernel, "load", lambda: None)
+    ref = run()
+    assert (eng.kernel, ref.kernel) == ("c", "python")
+    exits, kills = (int(k) for k in eng._cnt)
+    assert exits == 0 and kills > 0
+    assert sum(int(k) for k in eng._omega) + kills == 303
+    assert _state(eng) == _state(ref)
