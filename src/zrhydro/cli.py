@@ -104,8 +104,12 @@ def cmd_couple(args):
     window = choose_window(rho0.support(), params, args.t_end,
                            args.window_margin)
     rows = []
+    kw = {}
     if args.preset is not None:
         thermo = ThermoTable(rate, rho_max=4.0)
+        # the stationary preset fills the window to both edges, so exits
+        # are part of the dynamics there, not a sign of a short window
+        kw["leak_fraction"] = 1.0
     for rep in range(args.replicas):
         rng = replica_stream(args.seed, rep)
         if args.preset is not None:
@@ -115,20 +119,20 @@ def cmd_couple(args):
         else:
             cfg = build_initial(rho0, params, window, rng)
         if args.mode == "second-class":
-            eng = SecondClassEngine(cfg, params, rate, rng)
+            eng = SecondClassEngine(cfg, params, rate, rng, **kw)
             eng.run(args.t_end)
             st = eng.state()
             rows.append((args.t_end, st.conversions,
                          _fmt(second_class_left_mass(st, params.N)), ""))
         elif args.mode == "labeled":
-            eng = LabeledCouplingEngine(cfg, params, rate, rng)
+            eng = LabeledCouplingEngine(cfg, params, rate, rng, **kw)
             disc = eng.run(args.t_end)
             rows.append((args.t_end, "", "", disc))
         else:
             from .coupling import BasicCouplingEngine, PairConfiguration
             pair = PairConfiguration(cfg.copy(), cfg.copy())
             eng = BasicCouplingEngine(pair, params, rate, rng,
-                                      order_guard=True)
+                                      order_guard=True, **kw)
             eng.run(args.t_end)
             rows.append((args.t_end, "", "", eng.order_violations))
     with open(args.out, "w") as f:

@@ -4,7 +4,7 @@ support (conversion counts, ordering defects, the microscopic entropy
 functional, one-block statistic and Young-measure evaluations).
 
 Each coupled engine runs on ``engine.GillespieLoop`` and supplies only its
-state, its per-site total rate and its per-event rule, which splits one
+state, its per-site total rates and its per-event rule, which splits one
 site event into the channels of the coupling.  The loop consumes
 randomness in the same pattern for every process (waiting time, site,
 channel, direction per event), so with matched seeds and a degenerate
@@ -72,12 +72,12 @@ class BasicCouplingEngine(GillespieLoop):
         self._cnt = [ca.destroyed_count, ca.exited_left, ca.exited_right,
                      cb.destroyed_count, cb.exited_left, cb.exited_right, 0]
 
-        self._a = [int(k) for k in pair.omega.occ]
-        self._b = [int(k) for k in pair.varpi.occ]
-        self._d0 = self._origin_scale(params.destruction_factor)
-        self._start(max(sum(self._a), sum(self._b)))
-        if order_guard and any(a > b for a, b in zip(self._a, self._b)):
+        self._a = pair.omega.occ.copy()
+        self._b = pair.varpi.occ.copy()
+        if order_guard and np.any(self._a > self._b):
             raise ValueError("order guard requires omega <= varpi initially")
+        self._d0 = self._origin_scale(params.destruction_factor)
+        self._start(int(max(self._a.sum(), self._b.sum())))
 
     @property
     def order_violations(self) -> int:
@@ -92,8 +92,9 @@ class BasicCouplingEngine(GillespieLoop):
     def occupations_varpi(self) -> np.ndarray:
         return np.array(self._b, dtype=np.int64)
 
-    def _site_rate(self, i):
-        return self._scale[i] * max(self._gt[self._a[i]], self._gt[self._b[i]])
+    def _site_rates(self):
+        gt = np.asarray(self._gt)
+        return np.asarray(self._scale) * np.maximum(gt[self._a], gt[self._b])
 
     def _sync(self):
         ca, cb = self.pair.omega, self.pair.varpi
@@ -104,8 +105,8 @@ class BasicCouplingEngine(GillespieLoop):
             int(k) for k in self._cnt[:6])
 
     def _balance(self):
-        return (int(sum(self._a) + sum(self._cnt[:3])),
-                int(sum(self._b) + sum(self._cnt[3:6])))
+        return (int(np.sum(self._a) + np.sum(self._cnt[:3])),
+                int(np.sum(self._b) + np.sum(self._cnt[3:6])))
 
     def _step(self):
         a, b, rates, scale, gt = self._a, self._b, self._rates, self._scale, \
@@ -220,15 +221,15 @@ class SecondClassEngine(GillespieLoop):
                  max_events: int = 500_000_000):
         super().__init__(initial.x_min, len(initial.occ), initial.closed,
                          params, rate, rng, leak_fraction, max_events)
-        self._w = [int(k) for k in initial.occ]
-        self._z = [0] * self._n
+        self._w = initial.occ.copy()
+        self._z = np.zeros(self._n, dtype=np.int64)
         self._x_min = initial.x_min
         self._conv_rate = params.alpha * float(params.N) ** (1.0 + params.beta)
         # conversion, not destruction, acts at the origin: N everywhere
         self._origin_scale(0.0)
         # conversions, left and right exits
         self._cnt = [0, 0, 0]
-        self._start(sum(self._w))
+        self._start(int(self._w.sum()))
 
     @property
     def conversions(self) -> int:
@@ -237,10 +238,11 @@ class SecondClassEngine(GillespieLoop):
     def _kernel_fields(self):
         return {"conv": self._conv_rate}
 
-    def _site_rate(self, i):
-        r = self._scale[i] * self._gt[self._w[i] + self._z[i]]
-        if i == self._origin:
-            r += self._conv_rate * self._gt[self._w[i]]
+    def _site_rates(self):
+        gt, w, o = np.asarray(self._gt), np.asarray(self._w), self._origin
+        r = np.asarray(self._scale) * gt[w + np.asarray(self._z)]
+        if o >= 0:
+            r[o] += self._conv_rate * gt[w[o]]
         return r
 
     def state(self) -> SecondClassState:
@@ -252,7 +254,7 @@ class SecondClassEngine(GillespieLoop):
             conversions=self.conversions)
 
     def _balance(self):
-        return (int(sum(self._w) + sum(self._z) + self._cnt[1]
+        return (int(np.sum(self._w) + np.sum(self._z) + self._cnt[1]
                     + self._cnt[2]),)
 
     def _step(self):
@@ -347,26 +349,26 @@ class LabeledCouplingEngine(GillespieLoop):
                          params, rate, rng, leak_fraction, max_events)
         self._kill_p = self._origin_scale(
             params.alpha * math.sqrt(float(params.N)))
-        self._eta = [int(k) for k in initial.occ]
-        self._omega = [int(k) for k in initial.occ]
+        self._eta = initial.occ.copy()
+        self._omega = initial.occ.copy()
         if self._origin >= 0:
             # eta-particles at the origin die at time zero
             self._eta[self._origin] = 0
         self._cnt = [0, 0]  # exits, origin kills
-        self._start(sum(self._omega))
+        self._start(int(self._omega.sum()))
 
     def _kernel_fields(self):
         return {"d0": self._kill_p}
 
-    def _site_rate(self, i):
-        return self._scale[i] * self._gt[self._omega[i]]
+    def _site_rates(self):
+        return np.asarray(self._scale) * np.asarray(self._gt)[self._omega]
 
     def _balance(self):
-        return (int(sum(self._omega) + sum(self._cnt)),)
+        return (int(np.sum(self._omega) + np.sum(self._cnt)),)
 
     def discrepancy(self) -> int:
         """Surviving uncoupled omega-particles: sum |eta - omega|."""
-        return int(sum(o - e for o, e in zip(self._omega, self._eta)))
+        return int(np.sum(self._omega) - np.sum(self._eta))
 
     def run(self, t_end: float, max_events=None) -> int:
         """Run to ``t_end``; returns the discrepancy.  A run that starts at

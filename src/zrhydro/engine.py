@@ -168,7 +168,8 @@ class SumTree:
             sums = np.add.accumulate(v[:m * k].reshape(m, k), axis=1)[:, -1]
             t[k::2 * k] = sums[::2]
             k *= 2
-        self.tree[:] = t.tolist()
+        # the compiled kernel shares an array tree, the Python loop a list
+        self.tree[:] = t if isinstance(self.tree, np.ndarray) else t.tolist()
 
     def update(self, i: int, delta: float):
         t = self.tree
@@ -202,8 +203,10 @@ class GillespieLoop:
     itself, and the g table, sized once to cover every occupation the
     window's particles can reach.
 
-    A process supplies its state and
-    - ``_site_rate(i)``: the total event rate of site ``i``, from scratch;
+    A process supplies its state, as numpy arrays until ``_start``, and
+    - ``_site_rates()``: the total event rate of every site, from scratch,
+      as a numpy array, with the same floating-point operations as its
+      step closure; it must accept the state as lists or as arrays;
     - ``_step()``: the per-event closure ``step(x, uch, u, total)``, which
       applies one event at site ``x`` with channel and direction uniforms
       ``uch`` and ``u``, refreshes ``_rates`` and the tree at the sites it
@@ -222,7 +225,8 @@ class GillespieLoop:
 
     The closures capture the live containers, which audits update in
     place, so they stay valid for the whole run.  With the compiled kernel
-    those containers are numpy arrays that the kernel shares.
+    those containers are numpy arrays that the kernel shares; the Python
+    loop turns them into lists, which it indexes faster.
     """
 
     def __init__(self, x_min: int, n: int, closed: bool, params: ModelParams,
@@ -244,47 +248,46 @@ class GillespieLoop:
         """Set the per-site rate factors ``_scale``, N everywhere and
         N (1 + factor) at the origin; returns the origin's extra share
         factor / (1 + factor)."""
-        self._scale = [float(self.params.N)] * self._n
+        self._scale = np.full(self._n, float(self.params.N))
         if self._origin >= 0:
             self._scale[self._origin] = self.params.N * (1.0 + factor)
         return factor / (1.0 + factor)
 
     def _start(self, particles: int):
         """Build the g table, site rates and sum tree once the process's
-        state is in place, and bind the compiled kernel if one loads.
+        state is in place, then share the state arrays with the compiled
+        kernel if one loads, or turn them into lists for the Python loop.
         ``particles`` bounds every occupation (no event creates a
         particle); the starting balance sets the leak cap."""
-        self._gt = self.rate.table(particles + 2).tolist()
-        self._rates = [self._site_rate(i) for i in range(self._n)]
-        self._tree = SumTree(self._rates)
-        self._total = math.fsum(self._rates)
+        self._gt = self.rate.table(particles + 2)
+        rates = self._site_rates()
+        self._tree = SumTree(rates)
+        self._total = math.fsum(rates.tolist())
         self._mass0 = self._balance()
         self._leak_cap = self.leak_fraction * max(sum(self._mass0), 1)
         self._ub = UniformBlock(self.rng)
         fn = _ckernel.load()
         self.kernel = "python" if fn is None else "c"
         if fn is not None:
+            self._rates = rates
             self._bind(fn)
+        else:
+            self._rates = rates.tolist()
+            for name in dict.fromkeys(("_gt", "_scale") + self._OCC):
+                setattr(self, name, getattr(self, name).tolist())
 
     def _bind(self, fn):
-        """Move the rate and state lists into numpy arrays that the kernel
-        and the step closures share, and fill in the kernel's constants."""
-        f64, i64 = np.float64, np.int64
-        self._gt = np.array(self._gt, dtype=f64)
-        self._rates = np.array(self._rates, dtype=f64)
-        self._tree.tree = np.array(self._tree.tree, dtype=f64)
-        self._cnt = np.array(self._cnt, dtype=i64)
-        for name in dict.fromkeys(self._OCC):
-            setattr(self, name, np.array(getattr(self, name), dtype=i64))
+        """Share the rate, tree, counter and state arrays with the kernel
+        and fill in its constants."""
+        self._tree.tree = np.array(self._tree.tree, dtype=np.float64)
+        self._cnt = np.array(self._cnt, dtype=np.int64)
         st = _ckernel.State(mode=self._MODE, n=self._n, origin=self._origin,
                             closed=self._closed, p=self.params.p,
                             leak_cap=self._leak_cap, **self._kernel_fields())
-        st.gt, st.rates, st.tree, st.cnt = (
+        st.gt, st.rates, st.tree, st.cnt, st.scale = (
             a.ctypes.data for a in (self._gt, self._rates, self._tree.tree,
-                                    self._cnt))
+                                    self._cnt, self._scale))
         st.a, st.b = (getattr(self, name).ctypes.data for name in self._OCC)
-        self._scale = np.array(self._scale, dtype=f64)
-        st.scale = self._scale.ctypes.data
         self._st, self._st_buf, self._kernel_run = st, None, fn
 
     def _stretch(self, t, total, events, t_stop, ev_max):
@@ -320,21 +323,21 @@ class GillespieLoop:
 
     def verify_rates(self):
         """Recompute all rates from scratch; raise on drift."""
-        fresh = [self._site_rate(i) for i in range(self._n)]
-        a = np.array(fresh, dtype=np.float64)
-        drift = np.abs(a - np.asarray(self._rates, dtype=np.float64))
+        fresh = self._site_rates()
+        drift = np.abs(fresh - np.asarray(self._rates, dtype=np.float64))
         bad = np.flatnonzero(
-            drift > RATE_REL_TOL * np.maximum(1.0, np.abs(a)))
+            drift > RATE_REL_TOL * np.maximum(1.0, np.abs(fresh)))
         if bad.size:
             i = int(bad[0])
             raise RateConsistencyError(
                 f"site {i}: {self._rates[i]} != {fresh[i]}")
-        root = math.fsum(fresh)
+        values = fresh.tolist()
+        root = math.fsum(values)
         if abs(root - self._total) > RATE_REL_TOL * max(1.0, root):
             raise RateConsistencyError(
                 f"running total {self._total} != rebuilt {root}")
-        self._rates[:] = fresh
-        self._tree.rebuild(a)
+        self._rates[:] = fresh if self.kernel == "c" else values
+        self._tree.rebuild(fresh)
         self._total = root
 
     # -- main loop -------------------------------------------------------
@@ -441,11 +444,11 @@ class EventEngine(GillespieLoop):
         super().__init__(config.x_min, len(config.occ), config.closed,
                          params, rate, rng, leak_fraction, max_events)
         self.config = config
-        self._occ = [int(k) for k in config.occ]
+        self._occ = config.occ.copy()
         self._cnt = [config.destroyed_count, config.exited_left,
                      config.exited_right]
         self._d0 = self._origin_scale(params.destruction_factor)
-        self._start(sum(self._occ))
+        self._start(int(self._occ.sum()))
 
     def _kernel_fields(self):
         return {"d0": self._d0}
@@ -453,8 +456,8 @@ class EventEngine(GillespieLoop):
     def occupations(self) -> np.ndarray:
         return np.array(self._occ, dtype=np.int64)
 
-    def _site_rate(self, i):
-        return self._scale[i] * self._gt[self._occ[i]]
+    def _site_rates(self):
+        return np.asarray(self._scale) * np.asarray(self._gt)[self._occ]
 
     def _sync(self):
         c = self.config
@@ -463,7 +466,7 @@ class EventEngine(GillespieLoop):
             int(k) for k in self._cnt)
 
     def _balance(self):
-        return (int(sum(self._occ) + sum(self._cnt)),)
+        return (int(np.sum(self._occ) + np.sum(self._cnt)),)
 
     def _step(self):
         occ, rates, scale, gt = self._occ, self._rates, self._scale, self._gt

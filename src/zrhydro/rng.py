@@ -3,13 +3,23 @@
 Each replica gets its own counter-based (Philox) stream keyed by
 (master_seed, replica_index), so replicas can run in any order or in
 parallel and still produce byte-identical output.
+
+``UniformBlock`` draws its uniforms in blocks that start at ``FIRST_BLOCK``
+and double at each refill up to ``BLOCK``, so a short run draws little
+more than it uses.  The stream of uniforms does not depend on the block
+sizes (Philox ``random()`` gives the same doubles however they are
+requested), but the generator's state after a run does: it has moved past
+the blocks drawn, not past the uniforms used.  An engine therefore owns
+its generator; nothing should draw from it after the engine does.
 """
 from __future__ import annotations
 
 import numpy as np
 
-#: uniforms drawn from the generator at a time
+#: largest block of uniforms drawn from the generator at a time
 BLOCK = 1 << 16
+#: first block drawn; each refill doubles the size up to BLOCK
+FIRST_BLOCK = 1 << 8
 
 
 def replica_stream(master_seed: int, replica_index: int = 0) -> np.random.Generator:
@@ -20,21 +30,24 @@ def replica_stream(master_seed: int, replica_index: int = 0) -> np.random.Genera
 class UniformBlock:
     """Buffered uniform draws for tight event loops.
 
-    Pulls uniforms from the generator in large blocks; ``next()`` is then a
-    couple of list operations instead of a Generator call per event.
+    Pulls uniforms from the generator in blocks that ramp up to ``BLOCK``;
+    ``next()`` is then a couple of list operations instead of a Generator
+    call per event.
     """
 
-    __slots__ = ("_gen", "_buf", "_i")
+    __slots__ = ("_gen", "_buf", "_n", "_i")
 
     def __init__(self, gen: np.random.Generator):
         self._gen = gen
-        self._buf = gen.random(BLOCK)
+        self._n = FIRST_BLOCK
+        self._buf = gen.random(FIRST_BLOCK)
         self._i = 0
 
     def next(self) -> float:
         i = self._i
-        if i >= BLOCK:
-            self._buf = self._gen.random(BLOCK)
+        if i >= self._n:
+            self._n = min(2 * self._n, BLOCK)
+            self._buf = self._gen.random(self._n)
             i = 0
         self._i = i + 1
         return self._buf[i]

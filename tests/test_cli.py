@@ -87,6 +87,18 @@ def test_couple_preset_builds_one_table(tmp_path, monkeypatch):
     assert len(out.read_text().splitlines()) == 3
 
 
+@pytest.mark.parametrize("mode", ["second-class", "basic", "labeled"])
+def test_couple_preset_finishes_despite_exits(tmp_path, mode):
+    # the stationary preset fills the window to both edges, so particles
+    # leave it within t = 0.1; the default leak cap would raise
+    out = tmp_path / "couple.csv"
+    rc = main(["couple", "--preset", "absorbing-critical", "--mode", mode,
+               "--N", "30", "--t-end", "0.1", "--seed", "1",
+               "--out", str(out)])
+    assert rc == 0
+    assert len(out.read_text().splitlines()) == 2
+
+
 def test_invariant_json(tmp_path, capsys):
     out = tmp_path / "inv.json"
     rc = main(["invariant", "--p", "1.0", "--alpha", "1", "--beta", "0",

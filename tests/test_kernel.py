@@ -24,7 +24,7 @@ from zrhydro.rates import rate_from_spec
 from zrhydro.rng import replica_stream
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-#: events per buffer refill: four uniforms per event
+#: events per full-size buffer refill: four uniforms per event
 REFILL_EVENTS = (1 << 16) // 4
 
 

@@ -1,0 +1,52 @@
+"""The ramped uniform blocks: the stream must not depend on block sizes."""
+import numpy as np
+import pytest
+
+from zrhydro.rng import BLOCK, FIRST_BLOCK, UniformBlock, replica_stream
+
+
+def _drawn(ub, k):
+    """The first ``k`` uniforms of ``ub`` and the block sizes it drew."""
+    sizes = [len(ub._buf)]
+    out = []
+    for _ in range(k):
+        buf = ub._buf
+        out.append(ub.next())
+        if ub._buf is not buf:
+            sizes.append(len(ub._buf))
+    return np.array(out), sizes
+
+
+@pytest.mark.parametrize("k", [1, FIRST_BLOCK - 1, FIRST_BLOCK,
+                               FIRST_BLOCK + 1, 7 * FIRST_BLOCK + 5,
+                               BLOCK + 3, 2 * BLOCK + 12345])
+def test_stream_is_one_draw_and_state_follows_blocks(k):
+    ub = UniformBlock(replica_stream(5, 2))
+    got, sizes = _drawn(ub, k)
+    want = replica_stream(5, 2).random(k)
+    assert [x.hex() for x in got.tolist()] == [x.hex() for x in want.tolist()]
+    # the generator has moved past exactly the blocks drawn
+    fresh = replica_stream(5, 2)
+    fresh.random(sum(sizes))
+    assert (repr(ub._gen.bit_generator.state)
+            == repr(fresh.bit_generator.state))
+
+
+def test_blocks_double_up_to_block():
+    _, sizes = _drawn(UniformBlock(replica_stream(1, 0)), 3 * BLOCK)
+    ramp = [FIRST_BLOCK]
+    while ramp[-1] < BLOCK:
+        ramp.append(min(2 * ramp[-1], BLOCK))
+    assert sizes[:len(ramp)] == ramp
+    assert set(sizes[len(ramp):]) == {BLOCK}
+
+
+def test_first_block_is_small():
+    # the uniform after the first block shows how far construction read
+    # the generator
+    gen = replica_stream(9, 4)
+    ub = UniformBlock(gen)
+    ub.next()
+    after = gen.random()
+    ahead = np.flatnonzero(replica_stream(9, 4).random(1025) == after)
+    assert ahead.size == 1 and ahead[0] <= 1024

@@ -171,6 +171,32 @@ class TestSumTree:
         got = SumTree(values).tree
         assert [x.hex() for x in got] == [x.hex() for x in want]
 
+    @given(st.lists(st.floats(0.0, 1e3), min_size=1, max_size=200),
+           st.lists(st.tuples(st.integers(0, 10**6), st.floats(0.0, 1e3)),
+                    max_size=60),
+           st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+    def test_updates_keep_prefix_sums_and_find(self, values, updates, us):
+        tree = SumTree(values)
+        vals = np.array(values)
+        scale = max(vals.sum(), 1.0)
+        for i, v in updates:
+            i %= len(vals)
+            tree.update(i, v - vals[i])
+            vals[i] = v
+            scale = max(scale, vals.sum())
+        # the updates' round-off, relative to the largest total held
+        tol = 1e-12 * scale
+        # node j holds vals[j - lowbit(j):j]
+        for j in range(1, tree.n + 1):
+            assert abs(tree.tree[j] - vals[j - (j & -j):j].sum()) <= tol
+        cum = np.cumsum(vals)
+        for f in us:
+            u = f * cum[-1]
+            if np.min(np.abs(cum - u)) <= 1e-9 * scale:
+                continue  # within round-off of a boundary between sites
+            want = min(int(np.searchsorted(cum, u, side="left")), tree.n - 1)
+            assert tree.find(u) == want
+
 
 class TestObservables:
     def test_block_average_constant(self):
