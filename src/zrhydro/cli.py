@@ -12,8 +12,8 @@ import sys
 
 import numpy as np
 
-from .engine import (EventEngine, ModelParams, SnapshotObserver,
-                     build_initial, choose_window, empirical_density)
+from .engine import (EventEngine, ModelParams, build_initial, choose_window,
+                     empirical_density)
 from .harness import (ExperimentSpec, _fmt, compare, run_suite,
                       write_density_csv, write_report_json)
 from .invariant import (PRESETS, build_profile, preset_profile,
@@ -21,8 +21,7 @@ from .invariant import (PRESETS, build_profile, preset_profile,
 from .oracle import (LinearCaseParams, dual_rw_estimate,
                      exact_linear_solution, integrate_density_ode,
                      killing_probability_experiment)
-from .pde import (FluxModel, compose_theorem_solution, default_M,
-                  kruzhkov_check, DirichletDensity, ZeroFlux)
+from .pde import FluxModel, compose_theorem_solution, kruzhkov_check
 from .profiles import DensityProfile
 from .rates import rate_from_spec
 from .rng import replica_stream

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Configuration, GillespieLoop, ModelParams, block_average
+from .engine import (LEAK_FRACTION, Configuration, GillespieLoop,
+                     ModelParams, block_average)
 from .profiles import DensityProfile
 from .rates import RateFunction
 from .thermo import ThermoTable
@@ -59,12 +60,10 @@ class BasicCouplingEngine(GillespieLoop):
 
     def __init__(self, pair: PairConfiguration, params: ModelParams,
                  rate: RateFunction, rng: np.random.Generator,
-                 leak_fraction: float = 1e-3,
-                 max_events: int = 500_000_000,
+                 leak_fraction: float = LEAK_FRACTION,
                  order_guard: bool = False):
         super().__init__(pair.omega.x_min, len(pair.omega.occ),
-                         pair.omega.closed, params, rate, rng, leak_fraction,
-                         max_events)
+                         pair.omega.closed, params, rate, rng, leak_fraction)
         self.pair = pair
         self.order_guard = order_guard
         ca, cb = pair.omega, pair.varpi
@@ -109,10 +108,9 @@ class BasicCouplingEngine(GillespieLoop):
                 int(np.sum(self._b) + np.sum(self._cnt[3:6])))
 
     def _step(self):
-        a, b, rates, scale, gt = self._a, self._b, self._rates, self._scale, \
-            self._gt
-        cnt = self._cnt
-        upd, leak = self._tree.update, self._check_leak
+        a, b, scale, gt, cnt = self._a, self._b, self._scale, self._gt, \
+            self._cnt
+        put, leak = self._tree.set, self._check_leak
         n, origin, p, d0 = self._n, self._origin, self.params.p, self._d0
         closed, guard = self._closed, self.order_guard
 
@@ -157,18 +155,13 @@ class BasicCouplingEngine(GillespieLoop):
                     if move_b:
                         b[x] = kb - 1
                         b[y] += 1
-                    dy = scale[y] * max(gt[a[y]], gt[b[y]]) - rates[y]
-                    rates[y] += dy
-                    upd(y, dy)
-                    total += dy
+                    total += put(y, scale[y] * max(gt[a[y]], gt[b[y]]))
                     if guard and (a[y] > b[y]):
                         cnt[6] += 1
-            dx = scale[x] * max(gt[a[x]], gt[b[x]]) - rates[x]
-            rates[x] += dx
-            upd(x, dx)
+            total += put(x, scale[x] * max(gt[a[x]], gt[b[x]]))
             if guard and (a[x] > b[x]):
                 cnt[6] += 1
-            return total + dx
+            return total
 
         return step
 
@@ -217,10 +210,9 @@ class SecondClassEngine(GillespieLoop):
 
     def __init__(self, initial: Configuration, params: ModelParams,
                  rate: RateFunction, rng: np.random.Generator,
-                 leak_fraction: float = 1e-3,
-                 max_events: int = 500_000_000):
+                 leak_fraction: float = LEAK_FRACTION):
         super().__init__(initial.x_min, len(initial.occ), initial.closed,
-                         params, rate, rng, leak_fraction, max_events)
+                         params, rate, rng, leak_fraction)
         self._w = initial.occ.copy()
         self._z = np.zeros(self._n, dtype=np.int64)
         self._x_min = initial.x_min
@@ -258,10 +250,9 @@ class SecondClassEngine(GillespieLoop):
                     + self._cnt[2]),)
 
     def _step(self):
-        w, z, rates, scale, gt = self._w, self._z, self._rates, self._scale, \
-            self._gt
-        cnt = self._cnt
-        upd, leak = self._tree.update, self._check_leak
+        w, z, scale, gt, cnt = self._w, self._z, self._scale, self._gt, \
+            self._cnt
+        put, leak = self._tree.set, self._check_leak
         n, origin, p = self._n, self._origin, self.params.p
         conv, closed = self._conv_rate, self._closed
 
@@ -305,14 +296,8 @@ class SecondClassEngine(GillespieLoop):
                     else:
                         z[x] = kz - 1
                         z[y] += 1
-                    dy = site_rate(y) - rates[y]
-                    rates[y] += dy
-                    upd(y, dy)
-                    total += dy
-            dx = site_rate(x) - rates[x]
-            rates[x] += dx
-            upd(x, dx)
-            return total + dx
+                    total += put(y, site_rate(y))
+            return total + put(x, site_rate(x))
 
         return step
 
@@ -343,10 +328,9 @@ class LabeledCouplingEngine(GillespieLoop):
 
     def __init__(self, initial: Configuration, params: ModelParams,
                  rate: RateFunction, rng: np.random.Generator,
-                 leak_fraction: float = 1e-3,
-                 max_events: int = 500_000_000):
+                 leak_fraction: float = LEAK_FRACTION):
         super().__init__(initial.x_min, len(initial.occ), initial.closed,
-                         params, rate, rng, leak_fraction, max_events)
+                         params, rate, rng, leak_fraction)
         self._kill_p = self._origin_scale(
             params.alpha * math.sqrt(float(params.N)))
         self._eta = initial.occ.copy()
@@ -370,18 +354,17 @@ class LabeledCouplingEngine(GillespieLoop):
         """Surviving uncoupled omega-particles: sum |eta - omega|."""
         return int(np.sum(self._omega) - np.sum(self._eta))
 
-    def run(self, t_end: float, max_events=None) -> int:
+    def run(self, t_end: float) -> int:
         """Run to ``t_end``; returns the discrepancy.  A run that starts at
         or past ``t_end`` draws nothing."""
         if self.time < t_end:
-            self._loop(t_end, (), max_events)
+            self._loop(t_end, ())
         return self.discrepancy()
 
     def _step(self):
-        eta, omg, rates, scale, gt = self._eta, self._omega, self._rates, \
-            self._scale, self._gt
-        cnt = self._cnt
-        upd, leak = self._tree.update, self._check_leak
+        eta, omg, scale, gt, cnt = self._eta, self._omega, self._scale, \
+            self._gt, self._cnt
+        put, leak = self._tree.set, self._check_leak
         n, origin, p = self._n, self._origin, self.params.p
         kill_p, closed = self._kill_p, self._closed
 
@@ -407,10 +390,7 @@ class LabeledCouplingEngine(GillespieLoop):
                     else:
                         omg[x] = ko - 1
                         omg[y] += 1
-                        dy = scale[y] * gt[omg[y]] - rates[y]
-                        rates[y] += dy
-                        upd(y, dy)
-                        total += dy
+                        total += put(y, scale[y] * gt[omg[y]])
             else:
                 coupled = uch * go < gt[ke]
                 y = x + 1 if u < p else x - 1
@@ -429,14 +409,8 @@ class LabeledCouplingEngine(GillespieLoop):
                         if y != origin:
                             eta[y] += 1
                         # arriving at the origin kills the eta-particle
-                    dy = scale[y] * gt[omg[y]] - rates[y]
-                    rates[y] += dy
-                    upd(y, dy)
-                    total += dy
-            dx = scale[x] * gt[omg[x]] - rates[x]
-            rates[x] += dx
-            upd(x, dx)
-            return total + dx
+                    total += put(y, scale[y] * gt[omg[y]])
+            return total + put(x, scale[x] * gt[omg[x]])
 
         return step
 

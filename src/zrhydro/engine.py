@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,6 +38,8 @@ AUDIT_EVERY = 100_000
 RATE_REL_TOL = 1e-9
 #: default cap on mass allowed to leave an open window
 LEAK_FRACTION = 1e-3
+#: events one ``run`` may take before ``EventBudgetError``
+MAX_EVENTS = 500_000_000
 
 
 class SimulationError(RuntimeError):
@@ -147,11 +149,23 @@ class CallbackObserver:
 
 
 class SumTree:
-    """Binary-indexed tree over non-negative per-site rates."""
+    """Binary-indexed tree over non-negative per-site rates.
+
+    The tree owns ``values``, the per-site rates, beside its nodes
+    ``tree``.  Both are lists when the tree is built from a list (the
+    Python loop indexes them faster) and numpy arrays when it is built
+    from an array (the compiled kernel shares them); ``rebuild`` and
+    ``set`` change them in place.  ``set`` moves a value and the nodes
+    together, as the kernel's ``refresh()`` does; ``update`` moves the
+    nodes only.
+    """
 
     def __init__(self, values):
-        self.n = len(values)
-        self.tree = [0.0] * (self.n + 1)
+        self.n = n = len(values)
+        if isinstance(values, np.ndarray):
+            self.values, self.tree = np.zeros(n), np.zeros(n + 1)
+        else:
+            self.values, self.tree = [0.0] * n, [0.0] * (n + 1)
         self.rebuild(values)
 
     def rebuild(self, values):
@@ -168,8 +182,22 @@ class SumTree:
             sums = np.add.accumulate(v[:m * k].reshape(m, k), axis=1)[:, -1]
             t[k::2 * k] = sums[::2]
             k *= 2
-        # the compiled kernel shares an array tree, the Python loop a list
-        self.tree[:] = t if isinstance(self.tree, np.ndarray) else t.tolist()
+        if isinstance(self.tree, list):
+            v, t = v.tolist(), t.tolist()
+        self.values[:], self.tree[:] = v, t
+
+    def set(self, i: int, r: float) -> float:
+        """Set site ``i`` to rate ``r``; returns the change of the total.
+        Walks the nodes itself, as a call to ``update`` would add a tenth
+        to each refresh of the Python loop."""
+        v, t, n = self.values, self.tree, self.n
+        d = r - v[i]
+        v[i] += d
+        j = i + 1
+        while j <= n:
+            t[j] += d
+            j += j & (-j)
+        return d
 
     def update(self, i: int, delta: float):
         t = self.tree
@@ -199,9 +227,10 @@ class GillespieLoop:
     Each event draws four uniforms in a fixed order: the exponential
     waiting time, the rate-proportional site (a sum-tree pick), the
     channel and the direction.  The loop also owns the observer schedule,
-    the event budget, the leak cap, the audit cadence and the rate audit
-    itself, and the g table, sized once to cover every occupation the
-    window's particles can reach.
+    the event budget ``MAX_EVENTS``, the leak cap, the audit cadence and
+    the rate audit itself, the sum tree ``_tree``, which holds the
+    per-site rates, and the g table, sized once to cover every occupation
+    the window's particles can reach.
 
     A process supplies its state, as numpy arrays until ``_start``, and
     - ``_site_rates()``: the total event rate of every site, from scratch,
@@ -209,9 +238,9 @@ class GillespieLoop:
       step closure; it must accept the state as lists or as arrays;
     - ``_step()``: the per-event closure ``step(x, uch, u, total)``, which
       applies one event at site ``x`` with channel and direction uniforms
-      ``uch`` and ``u``, refreshes ``_rates`` and the tree at the sites it
-      changed, and returns the new total rate, or None when ``x`` holds
-      nothing that can move;
+      ``uch`` and ``u``, sets the rate of each site it changed with
+      ``_tree.set``, and returns the new total rate, or None when ``x``
+      holds nothing that can move;
     - ``_balance()``: a tuple, one entry per copy, of the particles in
       the window plus those destroyed (or killed) and those that exited;
       no event changes it, so ``_check_mass`` compares it, at every audit
@@ -231,12 +260,11 @@ class GillespieLoop:
 
     def __init__(self, x_min: int, n: int, closed: bool, params: ModelParams,
                  rate: RateFunction, rng: np.random.Generator,
-                 leak_fraction: float, max_events: int):
+                 leak_fraction: float):
         self.params = params
         self.rate = rate
         self.rng = rng
         self.leak_fraction = leak_fraction
-        self.max_events = max_events
         self.time = 0.0
         self.n_events = 0
         self._n = n
@@ -255,13 +283,13 @@ class GillespieLoop:
 
     def _start(self, particles: int):
         """Build the g table, site rates and sum tree once the process's
-        state is in place, then share the state arrays with the compiled
-        kernel if one loads, or turn them into lists for the Python loop.
-        ``particles`` bounds every occupation (no event creates a
-        particle); the starting balance sets the leak cap."""
+        state is in place, as arrays that the compiled kernel shares if
+        one loads, or as lists for the Python loop.  ``particles`` bounds
+        every occupation (no event creates a particle); the starting
+        balance sets the leak cap."""
         self._gt = self.rate.table(particles + 2)
+        self._cnt = np.array(self._cnt, dtype=np.int64)
         rates = self._site_rates()
-        self._tree = SumTree(rates)
         self._total = math.fsum(rates.tolist())
         self._mass0 = self._balance()
         self._leak_cap = self.leak_fraction * max(sum(self._mass0), 1)
@@ -269,24 +297,22 @@ class GillespieLoop:
         fn = _ckernel.load()
         self.kernel = "python" if fn is None else "c"
         if fn is not None:
-            self._rates = rates
+            self._tree = SumTree(rates)
             self._bind(fn)
         else:
-            self._rates = rates.tolist()
-            for name in dict.fromkeys(("_gt", "_scale") + self._OCC):
+            self._tree = SumTree(rates.tolist())
+            for name in dict.fromkeys(("_gt", "_scale", "_cnt") + self._OCC):
                 setattr(self, name, getattr(self, name).tolist())
 
     def _bind(self, fn):
         """Share the rate, tree, counter and state arrays with the kernel
         and fill in its constants."""
-        self._tree.tree = np.array(self._tree.tree, dtype=np.float64)
-        self._cnt = np.array(self._cnt, dtype=np.int64)
         st = _ckernel.State(mode=self._MODE, n=self._n, origin=self._origin,
                             closed=self._closed, p=self.params.p,
                             leak_cap=self._leak_cap, **self._kernel_fields())
         st.gt, st.rates, st.tree, st.cnt, st.scale = (
-            a.ctypes.data for a in (self._gt, self._rates, self._tree.tree,
-                                    self._cnt, self._scale))
+            a.ctypes.data for a in (self._gt, self._tree.values,
+                                    self._tree.tree, self._cnt, self._scale))
         st.a, st.b = (getattr(self, name).ctypes.data for name in self._OCC)
         self._st, self._st_buf, self._kernel_run = st, None, fn
 
@@ -324,30 +350,28 @@ class GillespieLoop:
     def verify_rates(self):
         """Recompute all rates from scratch; raise on drift."""
         fresh = self._site_rates()
-        drift = np.abs(fresh - np.asarray(self._rates, dtype=np.float64))
+        held = self._tree.values
+        drift = np.abs(fresh - np.asarray(held, dtype=np.float64))
         bad = np.flatnonzero(
             drift > RATE_REL_TOL * np.maximum(1.0, np.abs(fresh)))
         if bad.size:
             i = int(bad[0])
-            raise RateConsistencyError(
-                f"site {i}: {self._rates[i]} != {fresh[i]}")
-        values = fresh.tolist()
-        root = math.fsum(values)
+            raise RateConsistencyError(f"site {i}: {held[i]} != {fresh[i]}")
+        root = math.fsum(fresh.tolist())
         if abs(root - self._total) > RATE_REL_TOL * max(1.0, root):
             raise RateConsistencyError(
                 f"running total {self._total} != rebuilt {root}")
-        self._rates[:] = fresh if self.kernel == "c" else values
         self._tree.rebuild(fresh)
         self._total = root
 
     # -- main loop -------------------------------------------------------
 
-    def run(self, t_end: float, observers=(), max_events=None) -> TrajectoryRecord:
+    def run(self, t_end: float, observers=()) -> TrajectoryRecord:
         if t_end < self.time:
             raise ValueError("t_end before current time")
         wall0 = _time.perf_counter()
         events_start = self.n_events
-        self._loop(t_end, observers, max_events)
+        self._loop(t_end, observers)
         destroyed, left, right = (int(k) for k in self._cnt[:3])
         return TrajectoryRecord(
             t_end=self.time, n_events=self.n_events - events_start,
@@ -355,8 +379,7 @@ class GillespieLoop:
             destroyed_count=destroyed, exited_left=left, exited_right=right,
             kernel=self.kernel)
 
-    def _loop(self, t_end: float, observers, max_events):
-        budget = self.max_events if max_events is None else max_events
+    def _loop(self, t_end: float, observers):
         sched = sorted(
             (tt, k, ob) for k, ob in enumerate(observers)
             for tt in ob.times if self.time - 1e-15 <= tt <= t_end)
@@ -371,7 +394,7 @@ class GillespieLoop:
         t = self.time
         total = self._total
         events = self.n_events
-        limit = events + budget
+        limit = events + MAX_EVENTS
         next_audit = (events // every + 1) * every
 
         try:
@@ -414,7 +437,7 @@ class GillespieLoop:
 
                 events += 1
                 if events > limit:
-                    raise EventBudgetError(f"exceeded {budget} events")
+                    raise EventBudgetError(f"exceeded {MAX_EVENTS} events")
                 if events == next_audit:
                     next_audit += every
                     self.time, self._total, self.n_events = t, total, events
@@ -439,10 +462,9 @@ class EventEngine(GillespieLoop):
 
     def __init__(self, config: Configuration, params: ModelParams,
                  rate: RateFunction, rng: np.random.Generator,
-                 leak_fraction: float = LEAK_FRACTION,
-                 max_events: int = 500_000_000):
+                 leak_fraction: float = LEAK_FRACTION):
         super().__init__(config.x_min, len(config.occ), config.closed,
-                         params, rate, rng, leak_fraction, max_events)
+                         params, rate, rng, leak_fraction)
         self.config = config
         self._occ = config.occ.copy()
         self._cnt = [config.destroyed_count, config.exited_left,
@@ -469,9 +491,8 @@ class EventEngine(GillespieLoop):
         return (int(np.sum(self._occ) + np.sum(self._cnt)),)
 
     def _step(self):
-        occ, rates, scale, gt = self._occ, self._rates, self._scale, self._gt
-        cnt = self._cnt
-        upd, leak = self._tree.update, self._check_leak
+        occ, scale, gt, cnt = self._occ, self._scale, self._gt, self._cnt
+        put, leak = self._tree.set, self._check_leak
         n, origin, p, d0 = self._n, self._origin, self.params.p, self._d0
         closed = self._closed
 
@@ -483,10 +504,7 @@ class EventEngine(GillespieLoop):
                 if u < d0:
                     occ[x] = k - 1
                     cnt[0] += 1
-                    dx = scale[x] * gt[k - 1] - rates[x]
-                    rates[x] += dx
-                    upd(x, dx)
-                    return total + dx
+                    return total + put(x, scale[x] * gt[k - 1])
                 go_right = u < d0 + (1.0 - d0) * p
             else:
                 go_right = u < p
@@ -496,22 +514,14 @@ class EventEngine(GillespieLoop):
                     return total  # reflecting edge: move rejected
                 occ[x] = k - 1
                 cnt[1 if y < 0 else 2] += 1
-                dx = scale[x] * gt[k - 1] - rates[x]
-                rates[x] += dx
-                upd(x, dx)
+                total += put(x, scale[x] * gt[k - 1])
                 leak(cnt[1] + cnt[2])
-                return total + dx
+                return total
             occ[x] = k - 1
             ky = occ[y]
             occ[y] = ky + 1
-            dy = scale[y] * gt[ky + 1] - rates[y]
-            rates[y] += dy
-            upd(y, dy)
-            total += dy
-            dx = scale[x] * gt[k - 1] - rates[x]
-            rates[x] += dx
-            upd(x, dx)
-            return total + dx
+            total += put(y, scale[y] * gt[ky + 1])
+            return total + put(x, scale[x] * gt[k - 1])
 
         return step
 

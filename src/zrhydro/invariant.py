@@ -216,7 +216,6 @@ class SiteStatistic:
     target: float
     mean_g: float
     se_g: float
-    mean_occ: float
 
     @property
     def passed(self) -> bool:
@@ -264,18 +263,14 @@ def stationarity_test(profile: StationaryProfile, rate: RateFunction,
     times = (np.linspace(0.0, t_end, STATIONARITY_TIMES + 1)[1:] if t_end > 0
              else np.array([0.0]))
     gvals = np.zeros((replicas, len(sites)))
-    ovals = np.zeros((replicas, len(sites)))
     for rep in range(replicas):
         rng = replica_stream(master_seed, rep)
         cfg = sample_stationary(profile, thermo, rng)
         acc_g = np.zeros(len(sites))
-        acc_o = np.zeros(len(sites))
 
-        def record(t, engine, acc_g=acc_g, acc_o=acc_o, idx=idx):
+        def record(t, engine, acc_g=acc_g, idx=idx):
             for j, i in enumerate(idx):
-                k = engine._occ[i]
-                acc_g[j] += engine.rate.g(k)
-                acc_o[j] += k
+                acc_g[j] += engine.rate.g(engine._occ[i])
 
         if t_end > 0:
             eng = EventEngine(cfg, params, rate, rng, leak_fraction=1.0)
@@ -283,14 +278,11 @@ def stationarity_test(profile: StationaryProfile, rate: RateFunction,
         else:
             for j, i in enumerate(idx):
                 acc_g[j] = rate.g(int(cfg.occ[i]))
-                acc_o[j] = cfg.occ[i]
         gvals[rep] = acc_g / len(times)
-        ovals[rep] = acc_o / len(times)
     stats = []
     for j, x in enumerate(sites):
         se = float(gvals[:, j].std(ddof=1) / math.sqrt(replicas))
         stats.append(SiteStatistic(
             x=x, target=profile.fugacity(x),
-            mean_g=float(gvals[:, j].mean()), se_g=se,
-            mean_occ=float(ovals[:, j].mean())))
+            mean_g=float(gvals[:, j].mean()), se_g=se))
     return StationarityReport(sites=stats, replicas=replicas, t_end=t_end)

@@ -3,8 +3,11 @@
 Partition function Z(zeta), density R(zeta), the mean-jump-rate function
 Phi (inverse of R) and sampling of the product-measure site marginals.
 All series are evaluated by truncation: a term is dropped once it falls
-below ``SERIES_TOL`` times the partial sum, and growth of the term ratio
-signals divergence (fugacity at or beyond the radius of convergence).
+below ``SERIES_TOL`` times the partial sum.  Divergence is decided from
+the radius of convergence: for non-decreasing g it is zeta* = lim g(k)
+= ``rate.sup_g`` (infinite for rates that keep growing), so a series
+diverges exactly when zeta >= zeta*; a sum too large for a double is
+reported the same way.
 """
 from __future__ import annotations
 
@@ -18,8 +21,6 @@ from .rates import RateFunction
 SERIES_TOL = 1e-12
 #: hard cap on the number of series terms before declaring divergence
 TERM_BUDGET = 10_000
-#: consecutive growing terms before declaring divergence
-GROWTH_RUN = 50
 #: absolute tolerance on zeta in the bisection defining Phi
 PHI_TOL = 1e-10
 #: fugacity grid points of a ThermoTable
@@ -40,24 +41,19 @@ def _series(rate: RateFunction, zeta: float, weight_k: bool):
     """Sum zeta^k / g(k)! (weighted by k if requested)."""
     if zeta < 0:
         raise ValueError("fugacity must be non-negative")
+    if zeta >= rate.sup_g:
+        raise DivergenceError(f"series for zeta={zeta:g} does not converge "
+                              f"(zeta* = {rate.sup_g:g})")
     term = 1.0
     total = 0.0 if weight_k else 1.0
-    growth = 0
     for k in range(1, TERM_BUDGET):
         term *= zeta / rate.g(k)
         total += k * term if weight_k else term
         if term <= SERIES_TOL * total:
-            return total
-        # forward ratio test: next term / current term
-        ratio = zeta / rate.g(k + 1)
-        if ratio >= 1.0:
-            growth += 1
-            if growth >= GROWTH_RUN:
+            if total == np.inf:
                 raise DivergenceError(
-                    f"series for zeta={zeta:g} does not converge "
-                    f"(zeta* ~ {rate.sup_g:g})")
-        else:
-            growth = 0
+                    f"series for zeta={zeta:g} overflows a double")
+            return total
     raise DivergenceError(f"series for zeta={zeta:g} exhausted term budget")
 
 

@@ -7,6 +7,7 @@ statistical bands sized for the replica counts used.
 import numpy as np
 import pytest
 
+from zrhydro import engine
 from zrhydro.coupling import (BasicCouplingEngine, PairConfiguration,
                               SecondClassEngine, run_labeled_coupling,
                               second_class_left_mass)
@@ -134,7 +135,7 @@ def test_05_invariant_measure_stationarity():
                         f"{len(rep.sites)} sites")
 
 
-def test_06_ordering_preserved_and_pair_mass_conserved():
+def test_06_ordering_preserved_and_pair_mass_conserved(monkeypatch):
     params = ModelParams(0.75, 1.0, 0.0, 100)
     rng = replica_stream(106, 0)
     lo = rng.poisson(1.0, 201)
@@ -143,9 +144,9 @@ def test_06_ordering_preserved_and_pair_mass_conserved():
         Configuration(-100, lo.astype(np.int64), closed=True),
         Configuration(-100, hi.astype(np.int64), closed=True))
     mass = (int(lo.sum()), int(hi.sum()))
+    monkeypatch.setattr(engine, "MAX_EVENTS", 1_000_000)
     eng = BasicCouplingEngine(pair, params, indicator_rate(),
-                              replica_stream(106, 1), order_guard=True,
-                              max_events=1_000_000)
+                              replica_stream(106, 1), order_guard=True)
     with pytest.raises(EventBudgetError):
         eng.run(1e9)
     ordered = bool(np.all(pair.omega.occ <= pair.varpi.occ))

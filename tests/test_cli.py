@@ -90,13 +90,16 @@ def test_couple_preset_builds_one_table(tmp_path, monkeypatch):
 @pytest.mark.parametrize("mode", ["second-class", "basic", "labeled"])
 def test_couple_preset_finishes_despite_exits(tmp_path, mode):
     # the stationary preset fills the window to both edges, so particles
-    # leave it within t = 0.1; the default leak cap would raise
-    out = tmp_path / "couple.csv"
-    rc = main(["couple", "--preset", "absorbing-critical", "--mode", mode,
-               "--N", "30", "--t-end", "0.1", "--seed", "1",
-               "--out", str(out)])
-    assert rc == 0
-    assert len(out.read_text().splitlines()) == 2
+    # leave it within t = 0.1; the default leak cap would raise.  At
+    # beta = 1 the preset samples fugacities up to 61, where the linear
+    # rate's series grows for 60 terms before it converges
+    for beta in ([], ["--beta", "1"]):
+        out = tmp_path / "couple.csv"
+        rc = main(["couple", "--preset", "absorbing-critical", "--mode",
+                   mode, "--N", "30", "--t-end", "0.1", "--seed", "1",
+                   "--out", str(out)] + beta)
+        assert rc == 0
+        assert len(out.read_text().splitlines()) == 2
 
 
 def test_invariant_json(tmp_path, capsys):

@@ -1,0 +1,39 @@
+"""Every name a package module imports is used in that module.
+
+``__init__.py`` is left out: it imports names to re-export them.
+"""
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "zrhydro"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by an import statement and never read as a name."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            # "import a.b" binds "a"
+            imported.update(a.asname or a.name.split(".")[0]
+                            for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_finds_unused_imports():
+    source = ("from __future__ import annotations\n"
+              "import os.path\nimport numpy as np\n"
+              "from .engine import SumTree, field\n"
+              "def f():\n    import json\n    return np.zeros(SumTree)\n")
+    assert unused_imports(source) == ["field", "json", "os"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_uses_every_import(path):
+    assert unused_imports(path.read_text()) == []

@@ -3,7 +3,7 @@ the event budget, the leak cap and the particle-balance audit."""
 import numpy as np
 import pytest
 
-from zrhydro import _ckernel
+from zrhydro import _ckernel, engine
 from zrhydro.coupling import (BasicCouplingEngine, LabeledCouplingEngine,
                               PairConfiguration, SecondClassEngine)
 from zrhydro.engine import (Configuration, EventBudgetError, EventEngine,
@@ -97,8 +97,9 @@ def _failing_run(error, make, monkeypatch):
 def test_event_budget_inside_compiled_stretch(kind, monkeypatch, c_kernel):
     # the budget runs out far from any buffer refill or audit, inside a
     # compiled stretch; the loop stops one event past it on both kernels
+    monkeypatch.setattr(engine, "MAX_EVENTS", 5000)
     state = _failing_run(EventBudgetError, lambda: _make(
-        kind, [3] * 101, _params(kind), max_events=5000), monkeypatch)
+        kind, [3] * 101, _params(kind)), monkeypatch)
     assert state[1] == 5001
 
 

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from zrhydro.engine import (Configuration, EventEngine, LeakageError,
-                            ModelParams, SnapshotObserver, SumTree,
-                            block_average, build_initial, choose_window,
-                            empirical_density)
+from zrhydro import engine
+from zrhydro.engine import (Configuration, EventBudgetError, EventEngine,
+                            LeakageError, ModelParams, SnapshotObserver,
+                            SumTree, block_average, build_initial,
+                            choose_window, empirical_density)
 from zrhydro.profiles import DensityProfile
 from zrhydro.rates import indicator_rate, linear_rate
 from zrhydro.rng import replica_stream
@@ -87,10 +88,10 @@ class TestEngine:
         mean = np.mean(finals)
         assert abs(mean - 50) < 3 * math.sqrt(100 / 300) * 2
 
-    def test_destruction_competition(self):
+    def test_destruction_competition(self, monkeypatch):
         # single particle at the origin, alpha N^beta = 100: destroyed
         # before jumping with probability 100/101
-        from zrhydro.engine import EventBudgetError
+        monkeypatch.setattr(engine, "MAX_EVENTS", 0)  # exactly the first event
         pr = ModelParams(0.75, 1.0, 2.0, 10)
         destroyed = 0
         trials = 2000
@@ -99,7 +100,7 @@ class TestEngine:
             cfg.occ[3] = 1
             eng = EventEngine(cfg, pr, linear_rate(), replica_stream(9, rep))
             try:
-                eng.run(1.0, max_events=0)  # exactly the first event
+                eng.run(1.0)
             except EventBudgetError:
                 pass
             destroyed += cfg.destroyed_count
@@ -174,16 +175,30 @@ class TestSumTree:
     @given(st.lists(st.floats(0.0, 1e3), min_size=1, max_size=200),
            st.lists(st.tuples(st.integers(0, 10**6), st.floats(0.0, 1e3)),
                     max_size=60),
-           st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
-    def test_updates_keep_prefix_sums_and_find(self, values, updates, us):
-        tree = SumTree(values)
+           st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20),
+           st.booleans(), st.booleans())
+    def test_updates_keep_prefix_sums_and_find(self, values, updates, us,
+                                               through_set, as_array):
+        # the changes go through update (nodes only) or through set
+        # (values and nodes, as the engines' step closures do), on the
+        # Python loop's lists or the compiled kernel's arrays
+        tree = SumTree(np.array(values) if as_array else values)
         vals = np.array(values)
         scale = max(vals.sum(), 1.0)
         for i, v in updates:
             i %= len(vals)
-            tree.update(i, v - vals[i])
-            vals[i] = v
+            if through_set:
+                d = tree.set(i, v)
+                assert d == v - vals[i]
+                # can miss v by an ulp, as the kernel's refresh() does
+                vals[i] += d
+            else:
+                tree.update(i, v - vals[i])
+                vals[i] = v
             scale = max(scale, vals.sum())
+        held = vals.tolist() if through_set else values
+        assert [float(x).hex() for x in tree.values] == [
+            float(x).hex() for x in held]
         # the updates' round-off, relative to the largest total held
         tol = 1e-12 * scale
         # node j holds vals[j - lowbit(j):j]

@@ -76,4 +76,4 @@ def test_site_rates_match_scalar_formula(kind, where, kernel):
             got = [float(x).hex() for x in eng._site_rates().tolist()]
             assert got == _scalar_rates(eng, kind, x_min), (spec, t_end)
             # the loop's own rates agree after each audit
-            assert got == [float(x).hex() for x in eng._rates]
+            assert got == [float(x).hex() for x in eng._tree.values]

@@ -66,6 +66,20 @@ class TestPartitionFunction:
         with pytest.raises(DivergenceError):
             partition_function(indicator_rate(), 1.5)
 
+    def test_divergence_decided_by_radius(self, monkeypatch):
+        # zeta* = sup g: infinite for the linear rate, whose terms grow
+        # for the first 52 of them at zeta = 52; 1 for the indicator rate
+        assert partition_function(linear_rate(), 52.0) == pytest.approx(
+            math.exp(52), rel=1e-12)
+        assert math.isfinite(partition_function(linear_rate(), 700.0))
+        with pytest.raises(DivergenceError):
+            partition_function(linear_rate(), 800.0)  # e^800 overflows
+        # the radius decides at zeta*, before any term is summed
+        rate = indicator_rate()
+        monkeypatch.setattr(RateFunction, "g", lambda self, k: 1 / 0)
+        with pytest.raises(DivergenceError):
+            partition_function(rate, 1.0)
+
     def test_negative_fugacity_rejected(self):
         with pytest.raises(ValueError):
             partition_function(linear_rate(), -0.1)
