@@ -105,7 +105,7 @@ def cmd_couple(args):
     rows = []
     kw = {}
     if args.preset is not None:
-        thermo = ThermoTable(rate, rho_max=4.0)
+        thermo = ThermoTable(rate, rho_max=max(4.0, 2 * args.preset_density))
         # the stationary preset fills the window to both edges, so exits
         # are part of the dynamics there, not a sign of a short window
         kw["leak_fraction"] = 1.0

@@ -203,10 +203,9 @@ def preset_profile(name: str, params: ModelParams, density: float,
 def sample_stationary(profile: StationaryProfile, thermo: ThermoTable,
                       rng: np.random.Generator,
                       closed: bool = False) -> Configuration:
-    """Independent site draws with fugacity m_x."""
-    occ = np.empty(len(profile.m), dtype=np.int64)
-    for i, zeta in enumerate(profile.m):
-        occ[i] = thermo.sample_by_fugacity(float(zeta), rng, 1)[0]
+    """Independent site draws with fugacity m_x, one uniform per site
+    from left to right (none at a zero fugacity)."""
+    occ = thermo.sample_by_fugacity(profile.m, rng, 1)[:, 0]
     return Configuration(x_min=profile.x_min, occ=occ, closed=closed)
 
 

@@ -226,28 +226,42 @@ def solve_half_line(rho0: DensityProfile, flux: FluxModel, boundary,
                    inflow=inflow, outflow=outflow)
 
 
+def _boundary_density(rho_left, params: ModelParams, thermo: ThermoTable):
+    """R((2p-1) Phi(rho_L) / (2p-1 + alpha)), for a scalar or an array."""
+    drift = 2.0 * params.p - 1.0
+    return thermo.phi_inverse(drift * thermo.phi(rho_left)
+                              / (drift + params.alpha))
+
+
 def boundary_density_from_left_trace(left_trace, params: ModelParams,
                                      thermo: ThermoTable):
     """Boundary density R((2p-1) Phi(rho_L(t,0)) / (2p-1 + alpha))."""
-    drift = 2.0 * params.p - 1.0
-
     def rho_bar(t: float) -> float:
         v = left_trace(t) if callable(left_trace) else float(left_trace)
-        return thermo.phi_inverse(drift * thermo.phi(float(v))
-                                  / (drift + params.alpha))
+        return _boundary_density(float(v), params, thermo)
     return rho_bar
+
+
+def _row_lookup(column: np.ndarray, dt: float):
+    """t -> column[round(t / dt)], clamped to the column's rows."""
+    last = len(column) - 1
+
+    def at(t: float) -> float:
+        return float(column[min(max(int(round(t / dt)), 0), last)])
+    return at
+
+
+def _left_column(grid: PdeGrid) -> np.ndarray:
+    """The whole-line grid's values in the last cell left of 0, per row."""
+    j = int(math.floor((0.0 - grid.u_min) / grid.du)) - 1
+    if j < 0 or j >= grid.n_cells:
+        raise PdeError("grid does not cover the left of the origin")
+    return grid.values[:, j]
 
 
 def left_trace_from_grid(grid: PdeGrid):
     """Trace of a whole-line grid at 0^-, as a function of time."""
-    j = int(math.floor((0.0 - grid.u_min) / grid.du)) - 1
-    if j < 0 or j >= grid.n_cells:
-        raise PdeError("grid does not cover the left of the origin")
-
-    def trace(t: float) -> float:
-        n = min(max(int(round(t / grid.dt)), 0), grid.values.shape[0] - 1)
-        return float(grid.values[n, j])
-    return trace
+    return _row_lookup(_left_column(grid), grid.dt)
 
 
 @dataclass
@@ -289,8 +303,11 @@ def compose_theorem_solution(beta: float, rho0: DensityProfile,
     the whole-line solution applies everywhere.  beta = 0: the left part
     of the whole-line solution survives on u < 0 (characteristics move
     right), its trace at 0^- feeds the boundary-density map, and the
-    right part solves the half-line Dirichlet problem.  beta > 0: the
-    right problem has zero influx instead.
+    right part solves the half-line Dirichlet problem.  The map runs
+    once, over the trace's whole column of time rows; ``boundary_trace``
+    then looks its value up by the row round(t / dt), so the march and
+    every entropy check read stored values.  beta > 0: the right problem
+    has zero influx instead.
     """
     flux = FluxModel(thermo, params.p)
     if du is None:
@@ -304,8 +321,8 @@ def compose_theorem_solution(beta: float, rho0: DensityProfile,
         return ComposedSolution(left=whole, right=whole, beta=beta)
     rho0_right = rho0.resample(0.0, domain[1], du)
     if beta == 0:
-        trace = left_trace_from_grid(whole)
-        rho_bar = boundary_density_from_left_trace(trace, params, thermo)
+        rho_bar = _row_lookup(
+            _boundary_density(_left_column(whole), params, thermo), whole.dt)
         right = solve_half_line(rho0_right, flux, DirichletDensity(rho_bar),
                                 T, du=du, u_max=domain[1])
         return ComposedSolution(left=whole, right=right, beta=beta,

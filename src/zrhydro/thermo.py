@@ -2,15 +2,22 @@
 
 Partition function Z(zeta), density R(zeta), the mean-jump-rate function
 Phi (inverse of R) and sampling of the product-measure site marginals.
-All series are evaluated by truncation: a term is dropped once it falls
-below ``SERIES_TOL`` times the partial sum.  Divergence is decided from
-the radius of convergence: for non-decreasing g it is zeta* = lim g(k)
-= ``rate.sup_g`` (infinite for rates that keep growing), so a series
-diverges exactly when zeta >= zeta*; a sum too large for a double is
-reported the same way.
+Each takes a scalar or an array: a scalar returns a float, an array an
+array of its shape.
+
+One series core serves them all.  For an array of fugacities it forms the
+terms zeta^k / g(k)! as a running product over one cached table of g, and
+each fugacity's series stops at its own first term that falls below
+``SERIES_TOL`` times the partial sum.  The products and sums run in the
+order a scalar loop would run them, so every value is that loop's to the
+bit.  Divergence is decided from the radius of convergence: for
+non-decreasing g it is zeta* = lim g(k) = ``rate.sup_g`` (infinite for
+rates that keep growing), so a series diverges exactly when
+zeta >= zeta*; a sum too large for a double is reported the same way.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +28,8 @@ from .rates import RateFunction
 SERIES_TOL = 1e-12
 #: hard cap on the number of series terms before declaring divergence
 TERM_BUDGET = 10_000
+#: terms of a first pass; series still open get four times as many next
+FIRST_TERMS = 64
 #: absolute tolerance on zeta in the bisection defining Phi
 PHI_TOL = 1e-10
 #: fugacity grid points of a ThermoTable
@@ -37,37 +46,111 @@ class DensityRangeError(ValueError):
     """Requested density outside the tabulated range."""
 
 
-def _series(rate: RateFunction, zeta: float, weight_k: bool):
-    """Sum zeta^k / g(k)! (weighted by k if requested)."""
-    if zeta < 0:
+# -- the series core -----------------------------------------------------
+
+
+@functools.lru_cache(maxsize=16)
+def _g_table(rate: RateFunction) -> np.ndarray:
+    """g(1), ..., g(TERM_BUDGET - 1): the divisors of the series terms."""
+    return rate.table(TERM_BUDGET - 1)[1:]
+
+
+def _term_rows(rate: RateFunction, zetas: np.ndarray, head, n: int):
+    """head * prod_{j <= k} zeta / g(j) for k = 0..n, one row per zeta."""
+    rows = np.empty((len(zetas), n + 1))
+    rows[:, 0] = head
+    np.divide(zetas[:, None], _g_table(rate)[:n], out=rows[:, 1:])
+    return np.cumprod(rows, axis=1, out=rows)
+
+
+def _first(stop: np.ndarray):
+    """(rows with a True at k >= 1, the first such k of each row)."""
+    stop = stop[:, 1:]
+    return stop.any(axis=1), stop.argmax(axis=1) + 1
+
+
+def _grow(zetas: np.ndarray, step, what: str):
+    """Call ``step(idx, n)`` on the open rows ``idx`` with ``n`` terms.
+
+    ``step`` returns which of its rows stopped; the others go round again
+    with four times the terms, until the term budget is spent.
+    """
+    idx = np.arange(len(zetas))
+    n = FIRST_TERMS
+    while idx.size:
+        n = min(n, TERM_BUDGET - 1)
+        # terms past a row's stop may overflow; they are never read
+        with np.errstate(over="ignore"):
+            idx = idx[~step(idx, n)]
+        if idx.size and n == TERM_BUDGET - 1:
+            raise DivergenceError(f"{what} for zeta={zetas[idx[0]]:g} "
+                                  "exhausted term budget")
+        n *= 4
+
+
+def _series(rate: RateFunction, zetas: np.ndarray, weighted: bool):
+    """Z and (if ``weighted``) sum_k k zeta^k / g(k)! of a 1-d array."""
+    if np.any(zetas < 0):
         raise ValueError("fugacity must be non-negative")
-    if zeta >= rate.sup_g:
-        raise DivergenceError(f"series for zeta={zeta:g} does not converge "
-                              f"(zeta* = {rate.sup_g:g})")
-    term = 1.0
-    total = 0.0 if weight_k else 1.0
-    for k in range(1, TERM_BUDGET):
-        term *= zeta / rate.g(k)
-        total += k * term if weight_k else term
-        if term <= SERIES_TOL * total:
-            if total == np.inf:
-                raise DivergenceError(
-                    f"series for zeta={zeta:g} overflows a double")
-            return total
-    raise DivergenceError(f"series for zeta={zeta:g} exhausted term budget")
+    beyond = zetas >= rate.sup_g
+    if np.any(beyond):
+        raise DivergenceError(f"series for zeta={zetas[beyond][0]:g} does "
+                              f"not converge (zeta* = {rate.sup_g:g})")
+    sums = [np.empty(len(zetas)) for _ in range(1 + weighted)]
+
+    def step(idx, n):
+        terms = _term_rows(rate, zetas[idx], 1.0, n)
+        partials = [np.cumsum(terms, axis=1)]
+        if weighted:
+            partials.append(np.cumsum(np.arange(n + 1) * terms, axis=1))
+        done = np.ones(len(idx), dtype=bool)
+        for out, partial in zip(sums, partials):
+            hit, k = _first(terms <= SERIES_TOL * partial)
+            out[idx[hit]] = np.take_along_axis(partial, k[:, None], 1)[hit, 0]
+            done &= hit
+        return done
+
+    _grow(zetas, step, "series")
+    for out in sums:
+        inf = out == np.inf
+        if np.any(inf):
+            raise DivergenceError(f"series for zeta={zetas[inf][0]:g} "
+                                  "overflows a double")
+    return sums[0], (sums[1] if weighted else None)
 
 
-def partition_function(rate: RateFunction, zeta: float) -> float:
+def _like(values: np.ndarray, x: np.ndarray):
+    """``values`` in the shape of ``x``; a float when ``x`` is a scalar."""
+    return float(values[0]) if x.ndim == 0 else values.reshape(x.shape)
+
+
+def partition_function(rate: RateFunction, zeta):
     """Z(zeta) = sum_k zeta^k / g(k)!."""
-    return _series(rate, zeta, weight_k=False)
+    z = np.asarray(zeta, dtype=float)
+    return _like(_series(rate, z.ravel(), weighted=False)[0], z)
 
 
-def mean_density(rate: RateFunction, zeta: float) -> float:
+def mean_density(rate: RateFunction, zeta):
     """R(zeta), the mean occupation under the fugacity-zeta marginal."""
-    if zeta == 0.0:
-        return 0.0
-    num = _series(rate, zeta, weight_k=True)
-    return num / partition_function(rate, zeta)
+    z = np.asarray(zeta, dtype=float)
+    Z, S = _series(rate, z.ravel(), weighted=True)
+    return _like(S / Z, z)
+
+
+def _marginal_pmfs(rate: RateFunction, zetas: np.ndarray):
+    """Truncated pmfs k -> zeta^k / (Z(zeta) g(k)!), one row per fugacity,
+    and the length of each row; entries past a row's length are not its."""
+    heads = 1.0 / _series(rate, zetas, weighted=False)[0]
+    lengths = np.empty(len(zetas), dtype=np.int64)
+
+    def step(idx, n):
+        pmf = _term_rows(rate, zetas[idx], heads[idx], n)
+        hit, k = _first(pmf < PMF_TAIL_TOL)
+        lengths[idx[hit]] = k[hit] + 1
+        return hit
+
+    _grow(zetas, step, "pmf tail")
+    return _term_rows(rate, zetas, heads, int(lengths.max()) - 1), lengths
 
 
 @dataclass
@@ -89,7 +172,7 @@ class ThermoTable:
         self.zeta_star_estimate = self.rate.sup_g
         zeta_hi = self._find_zeta_ceiling()
         zetas = np.linspace(0.0, zeta_hi, GRID_SIZE)
-        dens = np.array([mean_density(self.rate, z) for z in zetas])
+        dens = mean_density(self.rate, zetas)
         if np.any(np.diff(dens) <= 0):
             raise ArithmeticError("tabulated density is not strictly increasing")
         self.zetas = zetas
@@ -113,30 +196,37 @@ class ThermoTable:
         # bounded rates may not reach rho_max below zeta*; keep what we have
         return zeta
 
-    # -- scalar interface ------------------------------------------------
+    # -- exact interface (scalar or array) ---------------------------------
 
     @property
     def covered_rho_max(self) -> float:
         return float(self.densities[-1])
 
-    def phi(self, rho: float) -> float:
-        """Phi(rho): the fugacity zeta with R(zeta) = rho."""
-        if rho < 0 or rho > self.covered_rho_max * (1 + 1e-12):
-            raise DensityRangeError(
-                f"density {rho:g} outside tabulated range "
-                f"[0, {self.covered_rho_max:g}]")
-        if rho == 0.0:
-            return 0.0
-        lo, hi = 0.0, float(self.zetas[-1])
-        while hi - lo > PHI_TOL:
-            mid = 0.5 * (lo + hi)
-            if mean_density(self.rate, mid) < rho:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+    def phi(self, rho):
+        """Phi(rho): the fugacity zeta with R(zeta) = rho.
 
-    def phi_inverse(self, flux_value: float) -> float:
+        Every density runs its own bisection; they advance in lockstep.
+        """
+        r = np.asarray(rho, dtype=float)
+        flat = r.ravel()
+        bad = (flat < 0) | (flat > self.covered_rho_max * (1 + 1e-12))
+        if np.any(bad):
+            raise DensityRangeError(
+                f"density {flat[bad][0]:g} outside tabulated range "
+                f"[0, {self.covered_rho_max:g}]")
+        lo = np.zeros(flat.size)
+        hi = np.full(flat.size, float(self.zetas[-1]))
+        open_ = (flat != 0.0) & (hi - lo > PHI_TOL)
+        while np.any(open_):
+            i = np.flatnonzero(open_)
+            mid = 0.5 * (lo[i] + hi[i])
+            below = mean_density(self.rate, mid) < flat[i]
+            lo[i[below]] = mid[below]
+            hi[i[~below]] = mid[~below]
+            open_[i] = hi[i] - lo[i] > PHI_TOL
+        return _like(np.where(flat == 0.0, 0.0, 0.5 * (lo + hi)), r)
+
+    def phi_inverse(self, flux_value):
         """R(flux_value); the round-trip inverse of phi."""
         return mean_density(self.rate, flux_value)
 
@@ -153,26 +243,31 @@ class ThermoTable:
 
     def marginal_pmf(self, zeta: float) -> np.ndarray:
         """Truncated pmf k -> zeta^k / (Z(zeta) g(k)!)."""
-        Z = partition_function(self.rate, zeta)
-        term = 1.0 / Z
-        probs = [term]
-        for k in range(1, TERM_BUDGET):
-            term *= zeta / self.rate.g(k)
-            probs.append(term)
-            if term < PMF_TAIL_TOL:
-                return np.array(probs)
-        raise DivergenceError("pmf tail does not decay")
+        pmfs, lengths = _marginal_pmfs(self.rate, np.array([float(zeta)]))
+        return pmfs[0, :lengths[0]]
 
-    def sample_by_fugacity(self, zeta: float,
-                           rng: np.random.Generator, n: int = 1):
-        """Draw occupations from the fugacity-zeta marginal (inversion)."""
-        if zeta == 0.0:
-            return np.zeros(n, dtype=np.int64)
-        pmf = self.marginal_pmf(zeta)
-        cdf = np.cumsum(pmf)
-        cdf[-1] = max(cdf[-1], 1.0)
-        u = rng.random(n)
-        return np.searchsorted(cdf, u, side="right").astype(np.int64)
+    def sample_by_fugacity(self, zeta, rng: np.random.Generator,
+                           n: int = 1):
+        """Draw n occupations from the fugacity-zeta marginal (inversion).
+
+        An array of fugacities gives n draws per entry, in an array of
+        shape ``zeta.shape + (n,)``.  The entries draw in order, n
+        uniforms each; a zero fugacity draws none and gives zeros.
+        """
+        z = np.asarray(zeta, dtype=float)
+        flat = z.ravel()
+        out = np.zeros((flat.size, n), dtype=np.int64)
+        live = flat != 0.0
+        if np.any(live):
+            pmfs, lengths = _marginal_pmfs(self.rate, flat[live])
+            cdf = np.cumsum(pmfs, axis=1)
+            last = (np.arange(len(lengths)), lengths - 1)
+            cdf[last] = np.maximum(cdf[last], 1.0)
+            cdf[np.arange(cdf.shape[1]) >= lengths[:, None]] = np.inf
+            u = rng.random((len(lengths), n))
+            # the count of cdf entries <= u is searchsorted(..., "right")
+            out[live] = np.sum(cdf[:, None, :] <= u[:, :, None], axis=2)
+        return out.reshape(z.shape + (n,))
 
     def sample_marginal(self, rho: float, rng: np.random.Generator,
                         n: int = 1):

@@ -87,6 +87,16 @@ def test_couple_preset_builds_one_table(tmp_path, monkeypatch):
     assert len(out.read_text().splitlines()) == 3
 
 
+def test_couple_preset_table_covers_the_density(tmp_path):
+    # a preset density of 9 needs a table past the default rho = 4
+    out = tmp_path / "couple.csv"
+    rc = main(["couple", "--preset", "absorbing-critical",
+               "--preset-density", "9", "--N", "30", "--t-end", "0.01",
+               "--seed", "1", "--out", str(out)])
+    assert rc == 0
+    assert len(out.read_text().splitlines()) == 2
+
+
 @pytest.mark.parametrize("mode", ["second-class", "basic", "labeled"])
 def test_couple_preset_finishes_despite_exits(tmp_path, mode):
     # the stationary preset fills the window to both edges, so particles

@@ -102,6 +102,20 @@ class TestSampling:
         cfg = sample_stationary(prof, lin_thermo, replica_stream(0, 0))
         assert cfg.total_mass == 0
 
+    def test_draws_match_per_site_draws(self, lin_thermo):
+        # one uniform per positive-fugacity site, left to right
+        params = ModelParams(p=1.0, alpha=1.0, beta=0.0, N=50)
+        prof = build_profile(params, (-6, 5), m_plus=1.5)
+        prof.m[[0, 5, 6, 11]] = 0.0  # sampling reads only m
+        a, b = replica_stream(7, 0), replica_stream(7, 0)
+        cfg = sample_stationary(prof, lin_thermo, a)
+        assert cfg.x_min == -6
+        assert cfg.occ.tolist() == [
+            int(lin_thermo.sample_by_fugacity(float(z), b, 1)[0])
+            for z in prof.m]
+        assert cfg.occ[[0, 5, 6, 11]].tolist() == [0, 0, 0, 0]
+        assert a.random() == b.random()
+
     def test_two_level_sample_means(self, lin_thermo):
         params = ModelParams(p=1.0, alpha=1.0, beta=0.0, N=50)
         prof = build_profile(params, (-200, 199), m_plus=1.0)

@@ -158,6 +158,29 @@ class TestComposition:
         assert prof(-0.3) == pytest.approx(1.0, abs=0.02)
         assert prof(0.2) == pytest.approx(1 / 3, abs=0.02)
 
+    def test_critical_boundary_trace_is_the_reference_map(self):
+        # the map runs once over the trace column; every lookup, on the
+        # grid's times and between them, is the per-call map's value
+        params = ModelParams(0.75, 1.0, 0.0, 10)
+        thermo = ThermoTable(linear_rate(), rho_max=6.0)
+        # a staircase on u < 0 passes the origin, so the trace moves
+        rho0 = DensityProfile.from_spec(
+            "-0.4:-0.3:0.5,-0.3:-0.2:1,-0.2:-0.1:1.5,-0.1:0:2", du=0.02)
+        sol = compose_theorem_solution(0.0, rho0, params, thermo, 0.8)
+        ref = boundary_density_from_left_trace(left_trace_from_grid(sol.left),
+                                               params, thermo)
+        dt = sol.left.dt
+        times = np.concatenate([sol.left.times, sol.left.times + 0.3 * dt,
+                                sol.left.times + 0.7 * dt, [-dt, 2.0]])
+        for t in times.tolist():
+            assert sol.boundary_trace(t).hex() == ref(t).hex()
+        on_grid = [sol.boundary_trace(t) for t in sol.left.times]
+        assert len(set(on_grid)) > 10
+        # off the grid, the nearest time row answers
+        for n, t in enumerate(sol.left.times[:-1].tolist()):
+            assert sol.boundary_trace(t + 0.3 * dt) == on_grid[n]
+            assert sol.boundary_trace(t + 0.7 * dt) == on_grid[n + 1]
+
     def test_supercritical_destroys_everything(self):
         params = ModelParams(0.75, 1.0, 1.0, 10)
         thermo = ThermoTable(linear_rate(), rho_max=6.0)

@@ -1,11 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from zrhydro.rates import (RateError, RateFunction, bounded_rate,
                            indicator_rate, linear_rate, rate_from_spec)
-from zrhydro.thermo import (DensityRangeError, DivergenceError, ThermoTable,
+from zrhydro.thermo import (PHI_TOL, SERIES_TOL, TERM_BUDGET,
+                            DensityRangeError, DivergenceError, ThermoTable,
                             mean_density, partition_function)
 
 
@@ -153,3 +155,130 @@ class TestThermoTable:
     def test_marginal_pmf_normalized(self, ind):
         pmf = ind.marginal_pmf(0.7)
         assert pmf.sum() == pytest.approx(1.0, abs=1e-10)
+
+
+# -- the array series core against a plain scalar loop -------------------
+
+
+def _ref_series(rate, zeta, weight_k):
+    """sum_k (k) zeta^k / g(k)!, one term at a time."""
+    if zeta >= rate.sup_g:
+        raise DivergenceError("beyond the radius")
+    term = 1.0
+    total = 0.0 if weight_k else 1.0
+    for k in range(1, TERM_BUDGET):
+        term *= zeta / rate.g(k)
+        total += k * term if weight_k else term
+        if term <= SERIES_TOL * total:
+            if total == math.inf:
+                raise DivergenceError("overflow")
+            return total
+    raise DivergenceError("term budget")
+
+
+def _ref_mean_density(rate, zeta):
+    if zeta == 0.0:
+        return 0.0
+    return _ref_series(rate, zeta, True) / _ref_series(rate, zeta, False)
+
+
+def _ref_phi(table, rho):
+    if rho == 0.0:
+        return 0.0
+    lo, hi = 0.0, float(table.zetas[-1])
+    while hi - lo > PHI_TOL:
+        mid = 0.5 * (lo + hi)
+        if _ref_mean_density(table.rate, mid) < rho:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _hex_or_error(fn, *args):
+    try:
+        return float(fn(*args)).hex()
+    except DivergenceError:
+        return "diverges"
+
+
+CORE_RATES = ("linear", "indicator", "table:0,1,1.5,1.8;slope=0.25")
+
+
+class TestSeriesCore:
+    @pytest.mark.parametrize("spec", CORE_RATES)
+    def test_bit_identical_to_scalar_loop(self, spec):
+        rate = rate_from_spec(spec)
+        table = ThermoTable(rate, 5.0)
+        # the grid is one array call per quantity
+        grid = table.zetas
+        assert [x.hex() for x in partition_function(rate, grid)] == [
+            _ref_series(rate, float(z), False).hex() for z in grid]
+        assert [x.hex() for x in table.densities] == [
+            _ref_mean_density(rate, float(z)).hex() for z in grid]
+        # at 700 the linear Z = e^700 stays finite, the table rate's Z
+        # overflows and the indicator rate is past its radius
+        for z in (0.0, 52.0, 700.0):
+            assert _hex_or_error(partition_function, rate, z) \
+                == _hex_or_error(_ref_series, rate, z, False)
+            assert _hex_or_error(mean_density, rate, z) \
+                == _hex_or_error(_ref_mean_density, rate, z)
+
+    def test_divergence_rules_hold_inside_an_array(self):
+        with pytest.raises(DivergenceError, match="overflows"):
+            partition_function(linear_rate(), np.array([1.0, 800.0]))
+        with pytest.raises(DivergenceError, match="term budget"):
+            partition_function(indicator_rate(), np.array([0.5, 0.999]))
+        with pytest.raises(DivergenceError, match="does not converge"):
+            mean_density(indicator_rate(), np.array([0.5, 1.0]))
+
+    def test_raises_no_numpy_warnings(self):
+        rate = linear_rate()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            partition_function(rate, np.linspace(0.0, 700.0, 41))
+            mean_density(rate, np.array([0.0, 1e-300, 3.0, 700.0]))
+            with pytest.raises(DivergenceError):
+                partition_function(rate, 800.0)
+
+    def test_scalar_in_float_out(self, ind):
+        rate = indicator_rate()
+        for value in (partition_function(rate, 0.5),
+                      mean_density(rate, 0.5), ind.phi(1.5),
+                      ind.phi(0.0), ind.phi_inverse(0.5)):
+            assert type(value) is float
+        assert partition_function(rate, np.array([[0.5]])).shape == (1, 1)
+
+    @pytest.mark.parametrize("spec", CORE_RATES)
+    def test_array_phi_is_per_element_bisection(self, spec):
+        table = ThermoTable(rate_from_spec(spec), 4.0)
+        rhos = np.concatenate([[0.0, 1e-9], np.linspace(0.05, 4.0, 9)])
+        got = table.phi(rhos)
+        assert got.shape == rhos.shape
+        assert [x.hex() for x in got] == [
+            _ref_phi(table, float(r)).hex() for r in rhos]
+        assert table.phi(rhos.reshape(1, -1)).shape == (1, len(rhos))
+        with pytest.raises(DensityRangeError):
+            table.phi(np.array([1.0, 1e9]))
+
+    def test_array_sampling_is_per_entry_inversion(self, lin):
+        # n draws per entry in order; a zero fugacity draws nothing
+        zetas = np.array([0.5, 0.0, 3.0, 0.0, 1.2])
+        a, b = np.random.default_rng(4), np.random.default_rng(4)
+        draws = lin.sample_by_fugacity(zetas, a, 3)
+        assert draws.shape == (5, 3)
+        for z, row in zip(zetas, draws):
+            if z == 0.0:
+                assert row.tolist() == [0, 0, 0]
+                continue
+            term = 1.0 / _ref_series(lin.rate, z, False)
+            pmf = [term]
+            while term >= 1e-13 or len(pmf) == 1:
+                term *= z / lin.rate.g(len(pmf))
+                pmf.append(term)
+            cdf = np.cumsum(pmf)
+            cdf[-1] = max(cdf[-1], 1.0)
+            assert lin.marginal_pmf(z).tolist() == pmf
+            assert row.tolist() == np.searchsorted(
+                cdf, b.random(3), side="right").tolist()
+        assert a.random() == b.random()
