@@ -5,50 +5,28 @@ g(k) = k, and are destroyed at the origin at rate alpha * g.  At beta = 0
 the macroscopic density is pure transport at speed 2p - 1 = 0.5, with the
 portion crossing the origin attenuated by the factor 1 - alpha-tilde = 1/3.
 
-The script runs a handful of replicas at increasing N and prints the L1
-distance between the replica-averaged block density and the closed form.
+The script runs a handful of replicas at increasing N through
+``harness.compare`` and prints the L1 distance between the
+replica-averaged block density and the closed form.  The spec's default
+exclusions skip 0.05-neighborhoods of the two kinks at u = 0 and u = 0.4.
 """
-import numpy as np
+from zrhydro.harness import ExperimentSpec, compare
 
-from zrhydro import (DensityProfile, EventEngine, ModelParams,
-                     build_initial, choose_window, empirical_density,
-                     linear_rate)
-from zrhydro.oracle import LinearCaseParams, exact_linear_solution
-from zrhydro.rng import replica_stream
-
-T = 0.8
-RHO0 = DensityProfile.from_spec("-1:0:1", du=0.01)
-REPLICAS = 20
-
-
-def mean_profile(N: int) -> DensityProfile:
-    params = ModelParams(p=0.75, alpha=1.0, beta=0.0, N=N)
-    window = choose_window(RHO0.support(), params, T, margin=0.5)
-    acc = None
-    for rep in range(REPLICAS):
-        rng = replica_stream(1, rep)
-        cfg = build_initial(RHO0, params, window, rng)
-        EventEngine(cfg, params, linear_rate(), rng).run(T)
-        prof = empirical_density(cfg, params, ell=10)
-        acc = prof.values if acc is None else acc + prof.values
-    return DensityProfile(window[0] / N, 1.0 / N, acc / REPLICAS)
+SPEC = ExperimentSpec(name="demo-01", N=(50, 100, 200), times=(0.8,),
+                      replicas=20, seed=1)
 
 
 def main():
-    lin = LinearCaseParams(ModelParams(0.75, 1.0, 0.0, 1))
-    exact = lambda u: exact_linear_solution(RHO0, lin, T, u)
-    print(f"linear rate, p=0.75, alpha=1, beta=0, t={T}")
+    report = compare(SPEC)
+    print(f"linear rate, p=0.75, alpha=1, beta=0, t={SPEC.times[0]}")
     print("expected: transport by 0.5*t, density drop 1 -> 1/3 past u=0")
     print()
     print(f"{'N':>5}  {'L1 distance':>12}  {'right plateau':>14}")
-    for N in (50, 100, 200):
-        prof = mean_profile(N)
-        # skip 0.05-neighborhoods of the two kinks at u=0 and u=0.4
-        d = prof.l1_distance(exact, -2.0, 2.0,
-                             exclude=((-0.05, 0.05), (0.35, 0.45)))
+    for e in report.entries:
+        prof = report.mean_profiles[(e.N, e.t)]
         us = prof.centers
         plateau = prof.values[(us > 0.05) & (us < 0.35)].mean()
-        print(f"{N:>5}  {d:>12.4f}  {plateau:>14.4f}")
+        print(f"{e.N:>5}  {e.distance:>12.4f}  {plateau:>14.4f}")
     print()
     print("the L1 distance shrinks with N; the plateau approaches 1/3")
 

@@ -12,10 +12,9 @@ import sys
 
 import numpy as np
 
-from .engine import (EventEngine, ModelParams, build_initial, choose_window,
-                     empirical_density)
-from .harness import (ExperimentSpec, _fmt, compare, run_suite,
-                      write_density_csv, write_report_json)
+from .engine import ModelParams, build_initial, choose_window
+from .harness import (ExperimentSpec, _fmt, compare, run_replicas,
+                      run_suite, write_density_csv, write_report_json)
 from .invariant import (PRESETS, build_profile, preset_profile,
                         sample_stationary, stationarity_test)
 from .oracle import (LinearCaseParams, dual_rw_estimate,
@@ -59,32 +58,25 @@ def _maybe_plot(path, profiles, labels):
 
 
 def cmd_simulate(args):
-    params = ModelParams(p=args.asym, alpha=args.alpha, beta=args.beta,
-                         N=args.N)
-    rate = rate_from_spec(args.g)
-    rho0 = DensityProfile.from_spec(args.rho0)
-    window = choose_window(rho0.support(), params, args.t_end,
-                           args.window_margin)
-    rows = []
-    meta = []
-    for rep in range(args.replicas):
-        rng = replica_stream(args.seed, rep)
-        cfg = build_initial(rho0, params, window, rng, closed=args.closed)
-        eng = EventEngine(cfg, params, rate, rng)
-        rec = eng.run(args.t_end)
-        prof = empirical_density(cfg, params, args.ell)
-        for u, v in zip(prof.centers, prof.values):
-            rows.append((rep, args.t_end, u, v))
-        meta.append({"replica": rep, "destroyed": rec.destroyed_count,
-                     "exited_left": rec.exited_left,
-                     "exited_right": rec.exited_right,
-                     "events": rec.n_events,
-                     "wall_time_s": round(rec.wall_time, 3),
-                     "kernel": rec.kernel})
+    spec = ExperimentSpec(
+        name="simulate", rate=args.g, p=args.asym, alpha=args.alpha,
+        beta=args.beta, N=(args.N,), rho0=args.rho0, times=(args.t_end,),
+        ell=args.ell, replicas=args.replicas, seed=args.seed,
+        target="none", margin=args.window_margin, closed=args.closed)
+    replicas = run_replicas(spec, args.N,
+                            DensityProfile.from_spec(spec.rho0, du=spec.du),
+                            rate_from_spec(spec.rate))
     with open(args.out, "w") as f:
         f.write("replica,t,u,density\n")
-        for rep, t, u, v in rows:
-            f.write(f"{rep},{_fmt(t)},{_fmt(u)},{_fmt(v)}\n")
+        for rep, (profiles, _) in enumerate(replicas):
+            t, prof = profiles[0]
+            for u, v in zip(prof.centers, prof.values):
+                f.write(f"{rep},{_fmt(t)},{_fmt(u)},{_fmt(v)}\n")
+    meta = [{"replica": rep, "destroyed": rec.destroyed_count,
+             "exited_left": rec.exited_left,
+             "exited_right": rec.exited_right, "events": rec.n_events,
+             "wall_time_s": round(rec.wall_time, 3), "kernel": rec.kernel}
+            for rep, (_, rec) in enumerate(replicas)]
     with open(args.out + ".json", "w") as f:
         json.dump({"replicas": meta}, f, indent=2)
         f.write("\n")

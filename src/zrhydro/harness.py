@@ -4,9 +4,14 @@ An ExperimentSpec bundles everything needed to reproduce a comparison
 between the particle system and a macroscopic target (finite-volume
 solution or linear-case closed form).  Outputs are deterministic given
 the seed: CSV rows in fixed order with 12 significant digits and a JSON
-sidecar carrying the full spec.  Suites are plain text files of
-key=value blocks separated by blank lines; ZRH_THREADS caps worker
-processes for replica-parallel runs.
+sidecar carrying the full spec.
+
+``run_replicas`` is the one runner of single-copy replicas: ``compare``
+and ``zrh simulate`` both go through it.  It hands back, per replica, the
+snapshot profiles and the engine's ``TrajectoryRecord``; ZRH_THREADS caps
+its worker processes.  Suites are plain text files of key=value blocks
+separated by blank lines; each value is read as the type of its
+``ExperimentSpec`` field.
 """
 from __future__ import annotations
 
@@ -14,7 +19,7 @@ import json
 import math
 import os
 import time as _time
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -56,7 +61,6 @@ class ExperimentSpec:
     target: str = "oracle"  # pde | oracle | none
     tolerance: float = 0.1
     interval: tuple = (-2.0, 2.0)
-    exclude_singular: bool = True
     delta: float = SINGULAR_DELTA
     margin: float = 0.5
     closed: bool = False
@@ -74,7 +78,8 @@ class ExperimentSpec:
         return ModelParams(p=self.p, alpha=self.alpha, beta=self.beta, N=N)
 
     def exclusions(self, t: float):
-        if not self.exclude_singular:
+        """delta-neighborhoods of u = 0 and u = (2p-1)t; none at delta 0."""
+        if self.delta == 0:
             return ()
         s = (2 * self.p - 1) * t
         return ((-self.delta, self.delta), (s - self.delta, s + self.delta))
@@ -115,28 +120,29 @@ class ComparisonReport:
 
 
 def _run_replica(args):
-    """One replica: returns (replica_index, [(t, DensityProfile), ...])."""
+    """One replica: (replica_index, [(t, DensityProfile), ...],
+    the engine's TrajectoryRecord)."""
     spec, N, rep, rho0, rate = args
     params = spec.model_params(N)
     t_max = max(spec.times)
     window = choose_window(rho0.support(), params, t_max, spec.margin)
     rng = replica_stream(spec.seed, rep)
     cfg = build_initial(rho0, params, window, rng, closed=spec.closed)
-    eng = EventEngine(cfg, params, rate, rng)
     obs = SnapshotObserver(spec.times)
-    eng.run(t_max, observers=[obs])
+    rec = EventEngine(cfg, params, rate, rng).run(t_max, observers=[obs])
     out = []
     for t, occ in obs.snapshots:
         c = cfg.copy()
         c.occ = occ
         out.append((t, empirical_density(c, params, spec.ell)))
-    return rep, out
+    return rep, out, rec
 
 
 def run_replicas(spec: ExperimentSpec, N: int, rho0: DensityProfile,
                  rate):
     """All replicas for one N, from the parsed ``spec.rho0`` and
-    ``spec.rate``; results ordered by replica index."""
+    ``spec.rate``: a ``(profiles, record)`` pair per replica, ordered by
+    replica index."""
     jobs = [(spec, N, rep, rho0, rate) for rep in range(spec.replicas)]
     workers = worker_count()
     if workers > 1 and len(jobs) > 1:
@@ -146,7 +152,7 @@ def run_replicas(spec: ExperimentSpec, N: int, rho0: DensityProfile,
     else:
         results = [_run_replica(j) for j in jobs]
     results.sort(key=lambda r: r[0])
-    return [profiles for _, profiles in results]
+    return [(profiles, rec) for _, profiles, rec in results]
 
 
 def _target_callable(spec: ExperimentSpec, params: ModelParams, t: float,
@@ -163,7 +169,7 @@ def compare(spec: ExperimentSpec) -> ComparisonReport:
     """Run the experiment and measure L1 distances to the target.
 
     The metric lives on ``spec.interval`` minus delta-neighborhoods of
-    the singular lines u = 0 and u = (2p-1)t when exclusion is on.
+    the singular lines u = 0 and u = (2p-1)t (none when delta = 0).
     A report is produced even when entries fail.  An entry's wall time
     is the replica runs of its N plus its own target evaluation and
     metric; the PDE solve, shared by all N and times, is not in it.
@@ -181,11 +187,11 @@ def compare(spec: ExperimentSpec) -> ComparisonReport:
     for N in spec.N:
         params = spec.model_params(N)
         wall0 = _time.perf_counter()
-        replica_profiles = run_replicas(spec, N, rho0, rate)
+        replicas = run_replicas(spec, N, rho0, rate)
         replicas_time = _time.perf_counter() - wall0
         for ti, t in enumerate(spec.times):
             entry0 = _time.perf_counter()
-            profs = [pr[ti][1] for pr in replica_profiles]
+            profs = [pr[ti][1] for pr, _ in replicas]
             mean_vals = np.mean([p.values for p in profs], axis=0)
             mean_prof = DensityProfile(profs[0].u_min, profs[0].du, mean_vals)
             report.mean_profiles[(N, t)] = mean_prof
@@ -245,37 +251,29 @@ class SuiteParseError(ValueError):
     pass
 
 
-_FIELD_TYPES = {
-    "p": float, "alpha": float, "beta": float, "ell": int,
-    "replicas": int, "seed": int, "du": float, "tolerance": float,
-    "delta": float, "margin": float, "closed": bool,
-    "exclude_singular": bool,
-}
+_DEFAULTS = {f.name: f.default for f in fields(ExperimentSpec)
+             if f.default is not MISSING}
+_BOOLS = {"true": True, "yes": True, "1": True,
+          "false": False, "no": False, "0": False}
+
+
+def _parse_as(typ, raw, lineno):
+    try:
+        return _BOOLS[raw.lower()] if typ is bool else typ(raw)
+    except (KeyError, ValueError):
+        raise SuiteParseError(f"line {lineno}: bad {typ.__name__} {raw!r}")
 
 
 def _parse_value(key, raw, lineno):
+    """``raw`` as the type of the field's default (str where there is
+    none); a tuple default reads a comma-separated list of the type of
+    its first element."""
     raw = raw.strip()
-    if key in ("N",):
-        try:
-            return tuple(int(x) for x in raw.split(","))
-        except ValueError:
-            raise SuiteParseError(f"line {lineno}: bad integer list {raw!r}")
-    if key in ("times", "interval"):
-        try:
-            return tuple(float(x) for x in raw.split(","))
-        except ValueError:
-            raise SuiteParseError(f"line {lineno}: bad number list {raw!r}")
-    typ = _FIELD_TYPES.get(key, str)
-    if typ is bool:
-        if raw.lower() in ("true", "yes", "1"):
-            return True
-        if raw.lower() in ("false", "no", "0"):
-            return False
-        raise SuiteParseError(f"line {lineno}: bad boolean {raw!r}")
-    try:
-        return typ(raw)
-    except ValueError:
-        raise SuiteParseError(f"line {lineno}: bad {typ.__name__} {raw!r}")
+    default = _DEFAULTS.get(key, "")
+    if isinstance(default, tuple):
+        return tuple(_parse_as(type(default[0]), x, lineno)
+                     for x in raw.split(","))
+    return _parse_as(type(default), raw, lineno)
 
 
 def parse_suite(path) -> list[ExperimentSpec]:

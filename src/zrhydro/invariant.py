@@ -41,14 +41,6 @@ class AdmissibilityError(ValueError):
     """Profile negative or fugacity inadmissible on the requested window."""
 
 
-def _geom(r: float, xs: np.ndarray) -> np.ndarray:
-    """r**xs computed in log space, with overflow mapped to +inf."""
-    if r <= 0:
-        raise ValueError("geometric ratio must be positive")
-    with np.errstate(over="ignore"):
-        return np.exp(xs * math.log(r))
-
-
 @dataclass
 class StationaryProfile:
     """Site fugacities m on [x_min, x_min + len(m) - 1]."""
@@ -109,7 +101,9 @@ def maximal_admissible_window(params: ModelParams, c1: float, c2: float,
         if not ok(v):
             break
         lo -= 1
-        if c1 == 0:
+        # once the geometric term rounds away (at once when c1 == 0),
+        # every further site is c2
+        if v == c2:
             lo = -10 ** 7
             break
     hi = 0
@@ -161,9 +155,10 @@ def build_profile(params: ModelParams, window: tuple[int, int],
     c3 = c1 + aNb * (c1 + c2) / drift
     c4 = c2 - aNb * (c1 + c2) / drift
     r = params.p / (1 - params.p)
-    m = np.where(xs <= 0,
-                 c1 * _geom(r, xs.astype(float)) + c2,
-                 c3 * _geom(r, xs.astype(float)) + c4)
+    # r**x in log space; an overflow to +inf is caught as inadmissible
+    with np.errstate(over="ignore"):
+        geom = np.exp(xs * math.log(r))
+        m = np.where(xs <= 0, c1 * geom + c2, c3 * geom + c4)
     bad = ~((m >= 0) & (m < zeta_star) & np.isfinite(m))
     if np.any(bad):
         lo, hi = maximal_admissible_window(params, c1, c2, c3, c4, zeta_star)

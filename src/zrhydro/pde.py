@@ -270,12 +270,7 @@ class ComposedSolution:
 
     left: PdeGrid
     right: PdeGrid
-    beta: float
     boundary_trace: object = None
-
-    @property
-    def dt(self) -> float:
-        return self.left.dt
 
     def at_time(self, t: float) -> DensityProfile:
         lp = self.left.at_time(t)
@@ -286,10 +281,6 @@ class ComposedSolution:
         n_left = int(round((0.0 - lp.u_min) / du))
         vals = np.concatenate([lp.values[:n_left], rp.values])
         return DensityProfile(lp.u_min, du, vals)
-
-    def __call__(self, u, t: float):
-        prof = self.at_time(t)
-        return prof(u)
 
 
 def compose_theorem_solution(beta: float, rho0: DensityProfile,
@@ -318,18 +309,18 @@ def compose_theorem_solution(beta: float, rho0: DensityProfile,
                   max(rho0.u_max, 0.0) + flux.flux_lipschitz * T + pad)
     whole = solve_whole_line(rho0, flux, T, du=du, domain=domain)
     if params.alpha == 0.0 or beta < 0:
-        return ComposedSolution(left=whole, right=whole, beta=beta)
+        return ComposedSolution(left=whole, right=whole)
     rho0_right = rho0.resample(0.0, domain[1], du)
     if beta == 0:
         rho_bar = _row_lookup(
             _boundary_density(_left_column(whole), params, thermo), whole.dt)
         right = solve_half_line(rho0_right, flux, DirichletDensity(rho_bar),
                                 T, du=du, u_max=domain[1])
-        return ComposedSolution(left=whole, right=right, beta=beta,
+        return ComposedSolution(left=whole, right=right,
                                 boundary_trace=rho_bar)
     right = solve_half_line(rho0_right, flux, ZeroFlux(), T, du=du,
                             u_max=domain[1])
-    return ComposedSolution(left=whole, right=right, beta=beta)
+    return ComposedSolution(left=whole, right=right)
 
 
 # -- entropy checking ----------------------------------------------------

@@ -34,7 +34,8 @@ FIRST_TERMS = 64
 PHI_TOL = 1e-10
 #: fugacity grid points of a ThermoTable
 GRID_SIZE = 2048
-#: marginal pmfs stop at the first term below this
+#: marginal pmfs stop at the first term below this that is no larger
+#: than the term before it
 PMF_TAIL_TOL = 1e-13
 
 
@@ -145,7 +146,10 @@ def _marginal_pmfs(rate: RateFunction, zetas: np.ndarray):
 
     def step(idx, n):
         pmf = _term_rows(rate, zetas[idx], heads[idx], n)
-        hit, k = _first(pmf < PMF_TAIL_TOL)
+        # below the tolerance while still rising is not the tail
+        stop = pmf < PMF_TAIL_TOL
+        stop[:, 1:] &= pmf[:, 1:] <= pmf[:, :-1]
+        hit, k = _first(stop)
         lengths[idx[hit]] = k[hit] + 1
         return hit
 

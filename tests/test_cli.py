@@ -27,6 +27,25 @@ def test_simulate_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_simulate_workers_write_the_serial_csv(tmp_path, monkeypatch):
+    args = ["simulate", "--N", "30", "--t-end", "0.3", "--replicas", "3",
+            "--seed", "5"]
+    monkeypatch.setenv("ZRH_THREADS", "1")
+    main(args + ["--out", str(tmp_path / "serial.csv")])
+    monkeypatch.setenv("ZRH_THREADS", "2")
+    main(args + ["--out", str(tmp_path / "pool.csv")])
+    assert ((tmp_path / "serial.csv").read_bytes()
+            == (tmp_path / "pool.csv").read_bytes())
+    metas = []
+    for name in ("serial.csv.json", "pool.csv.json"):
+        meta = json.loads((tmp_path / name).read_text())["replicas"]
+        for r in meta:
+            del r["wall_time_s"]
+        metas.append(meta)
+    assert metas[0] == metas[1]
+    assert [r["replica"] for r in metas[0]] == [0, 1, 2]
+
+
 def test_simulate_kernels_write_identical_csv(tmp_path, c_kernel,
                                             monkeypatch):
     from zrhydro import _ckernel

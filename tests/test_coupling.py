@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from zrhydro.coupling import (BasicCouplingEngine, LabeledCouplingEngine,
-                              PairConfiguration, SecondClassEngine,
-                              micro_entropy_functional, one_block_statistic,
-                              ordering_defect, run_basic_coupling,
-                              run_labeled_coupling, run_second_class,
-                              second_class_left_mass, young_measure_eval)
+from zrhydro.coupling import (LabeledCouplingEngine, PairConfiguration,
+                              SecondClassEngine, micro_entropy_functional,
+                              one_block_statistic, ordering_defect,
+                              run_basic_coupling, run_labeled_coupling,
+                              run_second_class, second_class_left_mass,
+                              young_measure_eval)
 from zrhydro.engine import (Configuration, EventEngine, ModelParams,
                             build_initial)
 from zrhydro.profiles import DensityProfile

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import time
@@ -8,8 +9,10 @@ import pytest
 from zrhydro import harness
 from zrhydro.harness import (ComparisonEntry, ExperimentSpec,
                              SuiteParseError, compare, parse_suite,
-                             run_suite, worker_count, write_density_csv,
-                             write_report_json)
+                             run_replicas, run_suite, worker_count,
+                             write_density_csv, write_report_json)
+from zrhydro.profiles import DensityProfile
+from zrhydro.rates import linear_rate
 
 
 class TestExperimentSpec:
@@ -34,7 +37,7 @@ class TestExperimentSpec:
         (a, b), (c, d) = spec.exclusions(1.0)
         assert (a, b) == (-0.1, 0.1)
         assert c == pytest.approx(0.4) and d == pytest.approx(0.6)
-        spec2 = ExperimentSpec(name="y", exclude_singular=False)
+        spec2 = ExperimentSpec(name="y", delta=0.0)
         assert spec2.exclusions(1.0) == ()
 
 
@@ -114,6 +117,17 @@ class TestCompare:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "e1583f062bd2ca939605755a0e0f17a0d7ed11f32ab5b29dc99ab210eaedb4eb")
 
+    def test_run_replicas_keeps_each_record(self):
+        spec = ExperimentSpec(name="rec", N=(30,), times=(0.1, 0.2),
+                              replicas=3, target="none", seed=4)
+        out = run_replicas(spec, 30, DensityProfile.from_spec(spec.rho0),
+                           linear_rate())
+        assert len(out) == 3
+        for profiles, rec in out:
+            assert [t for t, _ in profiles] == [0.1, 0.2]
+            assert rec.t_end == 0.2 and rec.n_events > 0
+            assert rec.kernel in ("c", "python")
+
     def test_entry_pass_rule(self):
         e = ComparisonEntry(N=1, t=0.0, distance=0.2, se=0.0,
                             tolerance=0.2, wall_time=0.0)
@@ -182,6 +196,27 @@ class TestSuiteFiles:
         assert [s.name for s in specs] == ["one", "two"]
         assert specs[0].N == (30,)
         assert specs[1].target == "none"
+
+    def test_every_field_round_trips(self, tmp_path):
+        # a non-default value of every field, each read back as the type
+        # of its default
+        spec = ExperimentSpec(
+            name="all", rate="indicator", p=0.8, alpha=2.0, beta=-0.5,
+            N=(20, 40), rho0="0:1:2", times=(0.1, 0.3), ell=3, replicas=4,
+            seed=9, du=0.02, target="pde", tolerance=0.25,
+            interval=(-1.0, 1.5), delta=0.0, margin=0.75, closed=True)
+        lines = []
+        for f in dataclasses.fields(spec):
+            v = getattr(spec, f.name)
+            assert f.name == "name" or v != f.default
+            lines.append(f"{f.name} = "
+                         + (",".join(map(str, v)) if isinstance(v, tuple)
+                            else str(v)))
+        path = tmp_path / "all.suite"
+        path.write_text("\n".join(lines) + "\n")
+        (back,) = parse_suite(path)
+        # the repr tells 20 from 20.0, inside tuples too
+        assert repr(back) == repr(spec)
 
     def test_missing_name_line_reported(self, tmp_path):
         f = tmp_path / "s.suite"

@@ -1,4 +1,4 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module, demo or test imports is used in it.
 
 ``__init__.py`` is left out: it imports names to re-export them.
 """
@@ -7,8 +7,11 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "zrhydro"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "zrhydro"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted([*(ROOT / "demos").glob("*.py"),
+                  *(ROOT / "tests").glob("*.py")])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,6 +37,8 @@ def test_finds_unused_imports():
     assert unused_imports(source) == ["field", "json", "os"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", MODULES + SCRIPTS,
+    ids=lambda p: p.name if p.parent == SRC else f"{p.parent.name}/{p.name}")
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []

@@ -1,3 +1,7 @@
+import re
+import time
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,7 +9,7 @@ from zrhydro.engine import ModelParams
 from zrhydro.invariant import (AdmissibilityError, build_profile,
                                maximal_admissible_window, preset_profile,
                                sample_stationary, stationarity_test)
-from zrhydro.rates import indicator_rate, linear_rate
+from zrhydro.rates import linear_rate
 from zrhydro.rng import replica_stream
 from zrhydro.thermo import ThermoTable
 
@@ -64,6 +68,18 @@ class TestBuildProfile:
         # right branch 3^x - 0.5 crosses 5.0 between x=1 and x=2
         assert hi == 1
         assert lo <= -10 ** 6  # constant left branch never fails
+
+    def test_settled_left_branch_reported_fast_and_quietly(self):
+        # c1 = c2 = 1: the left branch tends to c2 and stays admissible,
+        # while the right branch, 5 * 3^x - 3, overflows a double at x = 645
+        params = ModelParams(p=0.75, alpha=1.0, beta=0.0, N=100)
+        start = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AdmissibilityError, match=re.escape(
+                    "maximal admissible window is [-10000000, 644]")):
+                build_profile(params, (-10, 700), c1=1.0, c2=1.0)
+        assert time.perf_counter() - start < 1.0
 
     def test_residual_at_origin_with_destruction(self):
         params = ModelParams(p=0.75, alpha=2.0, beta=0.5, N=64)

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from zrhydro.engine import ModelParams
-from zrhydro.pde import (CflError, ComposedSolution, DirichletDensity,
-                         FluxModel, KruzhkovReport, PdeGrid, ZeroFlux,
-                         boundary_density_from_left_trace,
+from zrhydro.pde import (CflError, DirichletDensity, FluxModel, PdeGrid,
+                         ZeroFlux, boundary_density_from_left_trace,
                          boundary_flux_trace, compose_theorem_solution,
                          default_M, kruzhkov_check, l1_contraction_check,
                          left_trace_from_grid, solve_half_line,

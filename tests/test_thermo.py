@@ -4,8 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from zrhydro.rates import (RateError, RateFunction, bounded_rate,
-                           indicator_rate, linear_rate, rate_from_spec)
+from zrhydro.rates import (RateError, RateFunction, indicator_rate,
+                           linear_rate, rate_from_spec)
 from zrhydro.thermo import (PHI_TOL, SERIES_TOL, TERM_BUDGET,
                             DensityRangeError, DivergenceError, ThermoTable,
                             mean_density, partition_function)
@@ -155,6 +155,16 @@ class TestThermoTable:
     def test_marginal_pmf_normalized(self, ind):
         pmf = ind.marginal_pmf(0.7)
         assert pmf.sum() == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("zeta", [35.0, 61.0])
+    def test_high_fugacity_pmf_passes_its_mode(self, lin, zeta):
+        # 1/Z is far below PMF_TAIL_TOL here, so the first terms are too,
+        # while the pmf still rises towards its mode near zeta
+        assert lin.marginal_pmf(zeta).sum() == pytest.approx(1.0, abs=1e-12)
+        n = 2000
+        draws = lin.sample_by_fugacity(zeta, np.random.default_rng(3), n)
+        # Poisson(zeta): the standard error of the mean is sqrt(zeta / n)
+        assert abs(draws.mean() - zeta) < 4 * np.sqrt(zeta / n)
 
 
 # -- the array series core against a plain scalar loop -------------------
