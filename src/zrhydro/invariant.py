@@ -158,7 +158,11 @@ def build_profile(params: ModelParams, window: tuple[int, int],
     # r**x in log space; an overflow to +inf is caught as inadmissible
     with np.errstate(over="ignore"):
         geom = np.exp(xs * math.log(r))
-        m = np.where(xs <= 0, c1 * geom + c2, c3 * geom + c4)
+        # a constant branch never forms 0 * r**x, which is nan once r**x
+        # overflows
+        left = c1 * geom + c2 if c1 != 0 else c2
+        right = c3 * geom + c4 if c3 != 0 else c4
+        m = np.where(xs <= 0, left, right)
     bad = ~((m >= 0) & (m < zeta_star) & np.isfinite(m))
     if np.any(bad):
         lo, hi = maximal_admissible_window(params, c1, c2, c3, c4, zeta_star)

@@ -10,6 +10,15 @@ data also reports the smallest boundary constant M that passes.  The
 half-line solver supports a Dirichlet boundary density and the zero-flux
 condition, and the composition routine glues left and right problems
 across the origin in the three destruction regimes.
+
+The march checks as it goes.  The ghost column is read, and
+``phi_of``-range checked, in one call before the first step.  Each step
+then takes its new state's min and max once, and they drive the
+finiteness check, the maximum principle and the range check of the state
+the next step marches.  So a bad state fails the same check at the same
+step as under a per-step ``flux.F``; only a bad ghost fails earlier, before
+the first step.  At beta = 0 the boundary map runs once per distinct value
+of the trace column.
 """
 from __future__ import annotations
 
@@ -20,7 +29,7 @@ import numpy as np
 
 from .engine import ModelParams
 from .profiles import DensityProfile
-from .thermo import ThermoTable
+from .thermo import DensityRangeError, ThermoTable
 
 #: CFL safety factor
 CFL_NUMBER = 0.9
@@ -140,35 +149,59 @@ def _march(rho, flux, T, du, dt, left_ghost):
 
     ``left_ghost``: callable t -> ghost density left of the first cell,
     or None for zero-gradient extension.
+
+    The ghost column is read once, before the march, and its fluxes come
+    from one ``flux.F`` call, whose range check so covers every ghost up
+    front.  Each step then forms F(cur) = (2p - 1) Phi(cur) itself, into
+    preallocated buffers, and takes the new state's min and max once.
+    They drive, in this order: the finiteness check (a NaN reaches both),
+    the maximum principle against the data and the ghosts so far, and
+    ``phi_of``'s range check on the state the next step will march.
     """
     n_steps = int(math.ceil(T / dt - 1e-12))
     lam = dt / du
-    lo0, hi0 = float(rho.min()), float(rho.max())
+    drift = flux.drift
+    table = flux.thermo
+    dens, zetas = table.densities, table.zetas
+    top = table.covered_rho_max * (1 + 1e-9)
     vals = np.empty((n_steps + 1, len(rho)))
     vals[0] = rho
-    inflow = np.zeros(n_steps + 1)
-    outflow = np.zeros(n_steps + 1)
-    Ffun = flux.F
+    lo0, hi0 = float(rho.min()), float(rho.max())
+    lo, hi = lo0, hi0  # of the state the next step marches
+    if n_steps and math.isnan(lo):
+        table.phi_of(rho)  # min and max hide the other cells behind a NaN
+    if left_ghost is not None:
+        ghosts = [float(left_ghost(n * dt)) for n in range(n_steps)]
+        f_ins = flux.F(np.array(ghosts))
+    fluxes = np.empty(len(rho) + 1)  # F at left edges of cells
+    Fc = fluxes[1:]
+    diff = np.empty(len(rho))
     for n in range(n_steps):
-        t = n * dt
-        cur = vals[n]
-        Fc = Ffun(cur)
+        if lo < -1e-12 or hi > top:
+            raise DensityRangeError("density outside tabulated range")
+        cur, new = vals[n], vals[n + 1]
+        np.multiply(np.interp(cur, dens, zetas), drift, out=Fc)
         if left_ghost is None:
             ghost = float(cur[0])  # zero-gradient: first cell unchanged
+            fluxes[0] = Fc[0]
         else:
-            ghost = float(left_ghost(t))
-        f_in = float(Ffun(np.array([ghost]))[0])
-        fluxes = np.concatenate([[f_in], Fc])  # F at left edges of cells
-        new = cur - lam * (fluxes[1:] - fluxes[:-1])
-        if not np.all(np.isfinite(new)):
+            ghost = ghosts[n]
+            fluxes[0] = f_ins[n]
+        np.subtract(Fc, fluxes[:-1], out=diff)
+        np.multiply(diff, lam, out=diff)
+        np.subtract(cur, diff, out=new)
+        lo, hi = float(new.min()), float(new.max())
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise PdeError("non-finite state during time marching")
         lo0 = min(lo0, ghost)
         hi0 = max(hi0, ghost)
-        if new.min() < lo0 - 1e-12 or new.max() > hi0 + 1e-12:
+        if lo < lo0 - 1e-12 or hi > hi0 + 1e-12:
             raise PdeError("maximum principle violated")
-        vals[n + 1] = new
-        inflow[n + 1] = inflow[n] + dt * f_in
-        outflow[n + 1] = outflow[n] + dt * Fc[-1]
+    # the edge fluxes of each step, F of its first and last cells or its
+    # ghost, summed in step order
+    F_in = flux.F(vals[:-1, 0]) if left_ghost is None else f_ins
+    inflow = np.cumsum(np.concatenate([[0.0], dt * F_in]))
+    outflow = np.cumsum(np.concatenate([[0.0], dt * flux.F(vals[:-1, -1])]))
     return vals, inflow, outflow
 
 
@@ -295,10 +328,10 @@ def compose_theorem_solution(beta: float, rho0: DensityProfile,
     of the whole-line solution survives on u < 0 (characteristics move
     right), its trace at 0^- feeds the boundary-density map, and the
     right part solves the half-line Dirichlet problem.  The map runs
-    once, over the trace's whole column of time rows; ``boundary_trace``
-    then looks its value up by the row round(t / dt), so the march and
-    every entropy check read stored values.  beta > 0: the right problem
-    has zero influx instead.
+    once, over the distinct values of the trace's column of time rows;
+    ``boundary_trace`` then looks its value up by the row round(t / dt),
+    so the march and every entropy check read stored values.  beta > 0:
+    the right problem has zero influx instead.
     """
     flux = FluxModel(thermo, params.p)
     if du is None:
@@ -312,8 +345,10 @@ def compose_theorem_solution(beta: float, rho0: DensityProfile,
         return ComposedSolution(left=whole, right=whole)
     rho0_right = rho0.resample(0.0, domain[1], du)
     if beta == 0:
+        # the column repeats its values; map each distinct one once
+        levels, rows = np.unique(_left_column(whole), return_inverse=True)
         rho_bar = _row_lookup(
-            _boundary_density(_left_column(whole), params, thermo), whole.dt)
+            _boundary_density(levels, params, thermo)[rows], whole.dt)
         right = solve_half_line(rho0_right, flux, DirichletDensity(rho_bar),
                                 T, du=du, u_max=domain[1])
         return ComposedSolution(left=whole, right=right,
@@ -381,10 +416,13 @@ def kruzhkov_check(grid: PdeGrid, flux: FluxModel, boundary,
     inequality passes when the quadrature value is above -tol with tol
     proportional to the derivative norms of H times the cell width.
 
-    Each test function's block is evaluated once, and each (c, form)
-    entry is an interior integral I plus M times a boundary integral B, so
-    Dirichlet checks also report ``smallest_M``: the first m on
-    linspace(0, M, 21) with I + m B >= -tol for every entry (else M).
+    F of the c values and the boundary density of every row the family
+    reads are evaluated once per check, each test function's block once,
+    and rho - c and F(rho) - F(c) once per c for both forms.  Each
+    (c, form) entry is an interior integral I plus M times a boundary
+    integral B, so Dirichlet checks also report ``smallest_M``: the first
+    m on linspace(0, M, 21) with I + m B >= -tol for every entry (else
+    M).
     """
     if c_values is None:
         top = 1.2 * float(grid.values.max())
@@ -397,13 +435,22 @@ def kruzhkov_check(grid: PdeGrid, flux: FluxModel, boundary,
               ("minus", lambda x: np.maximum(-x, 0.0))) if dirichlet
              else (("abs", np.abs),))
     centers = grid.centers
+    cs = [float(c) for c in c_values]
+    Fcs = flux.F(np.array(cs)).tolist()
+    # each test function's time rows n0..n1
+    last = grid.values.shape[0] - 1
+    family = [(H, max(int(math.floor(H.t_support[0] / grid.dt)), 0),
+               min(int(math.ceil(H.t_support[1] / grid.dt)), last))
+              for H in test_family]
+    if dirichlet and family:
+        # the boundary density of every row a test function reads, once
+        first = min(n0 for _, n0, _ in family)
+        bar = np.array([boundary.value(n * grid.dt) for n in
+                        range(first, max(n1 for _, _, n1 in family) + 1)])
     entries, parts = [], []  # parts: (I, B, tol) of each entry
-    for H in test_family:
+    for H, n0, n1 in family:
         tol = (grid.du * (H.sup_dt() + flux.flux_lipschitz * H.sup_du())
                * min(2 * H.t_halfwidth, T_span) * 2 * H.u_halfwidth)
-        t0, t1 = H.t_support
-        n0 = max(int(math.floor(t0 / grid.dt)), 0)
-        n1 = min(int(math.ceil(t1 / grid.dt)), grid.values.shape[0] - 1)
         times = np.arange(n0, n1 + 1) * grid.dt
         u0, u1 = H.u_support
         jmask = (centers + grid.du / 2 > u0) & (centers - grid.du / 2 < u1)
@@ -413,16 +460,16 @@ def kruzhkov_check(grid: PdeGrid, flux: FluxModel, boundary,
         H_t, H_u = H.dt(times[:, None], us), H.du(times[:, None], us)
         if dirichlet:
             H_0 = H.value(times, 0.0)
-            rho_bar = np.array([boundary.value(t) for t in times.tolist()])
-        for c in c_values:
-            c = float(c)
-            Fc = float(flux.F(np.array([c]))[0])
+            rho_bar = bar[n0 - first:n1 - first + 1]
+        for c, Fc in zip(cs, Fcs):
+            d_rho, d_F = rho - c, F_rho - Fc
+            if dirichlet:
+                d_bar = rho_bar - c
             for form, tr in forms:
-                rows = np.sum(H_t * tr(rho - c) + H_u * tr(F_rho - Fc),
+                rows = np.sum(H_t * tr(d_rho) + H_u * tr(d_F),
                               axis=1) * grid.du
                 I = _trapezoid(rows, grid.dt)
-                B = _trapezoid(H_0 * tr(rho_bar - c), grid.dt) \
-                    if dirichlet else 0.0
+                B = _trapezoid(H_0 * tr(d_bar), grid.dt) if dirichlet else 0.0
                 parts.append((I, B, tol))
                 entries.append(KruzhkovEntry(
                     H.name, c, I + M * B if dirichlet else I, tol, form))
@@ -461,12 +508,3 @@ def boundary_flux_trace(grid: PdeGrid, flux: FluxModel):
     flux_in = flux.F(trace)
     return times, mass_rate, flux_in
 
-
-def l1_contraction_check(rho0_a: DensityProfile, rho0_b: DensityProfile,
-                         flux: FluxModel, T: float, du: float,
-                         domain) -> bool:
-    """L1 distance between two solutions never grows (monotone scheme)."""
-    ga = solve_whole_line(rho0_a, flux, T, du=du, domain=domain)
-    gb = solve_whole_line(rho0_b, flux, T, du=du, domain=domain)
-    d = np.abs(ga.values - gb.values).sum(axis=1) * du
-    return bool(np.all(np.diff(d) <= 1e-12 * max(d[0], 1.0)))

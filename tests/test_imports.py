@@ -42,3 +42,62 @@ def test_finds_unused_imports():
     ids=lambda p: p.name if p.parent == SRC else f"{p.parent.name}/{p.name}")
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+#: where a package name counts as used
+USERS = sorted([*MODULES, *(ROOT / "demos").glob("*.py"),
+                *(ROOT / "perfbench").glob("*.py"),
+                ROOT / "tests" / "test_acceptance.py"])
+
+#: public names nothing in USERS refers to, each kept for a reason
+UNREFERENCED_OK = {
+    "boundary_density_from_left_trace":
+        "per-call reference for the beta = 0 boundary map in test_pde",
+    "left_trace_from_grid":
+        "per-call reference for the trace column in test_pde",
+    "partition_function": "package API, re-exported in zrhydro.__all__",
+    "micro_entropy_functional": "pending deletion, ROADMAP item 10",
+    "one_block_statistic": "pending deletion, ROADMAP item 10",
+    "young_measure_eval": "pending deletion, ROADMAP item 10",
+    "run_basic_coupling": "pending deletion, ROADMAP item 10",
+    "run_second_class": "pending deletion, ROADMAP item 10",
+    "ordering_defect": "pending deletion, ROADMAP item 10",
+}
+
+
+def referenced_names(source: str) -> set[str]:
+    """Names read, attributes taken and names imported in ``source``."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(a.name for a in node.names)
+    return names
+
+
+def public_definitions(source: str) -> list[str]:
+    """Top-level functions and classes whose names do not start with _."""
+    return [node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def test_finds_unreferenced_definitions():
+    source = ("import m\ndef used(): pass\ndef unused(): return used()\n"
+              "class Kept: pass\nclass Gone: pass\n_private = m.Kept\n")
+    refs = referenced_names(source)
+    assert [n for n in public_definitions(source) if n not in refs] == [
+        "unused", "Gone"]
+
+
+def test_every_public_definition_is_referenced():
+    used = set().union(*(referenced_names(p.read_text()) for p in USERS))
+    defined = {name for p in MODULES
+               for name in public_definitions(p.read_text())}
+    assert sorted(defined - used - UNREFERENCED_OK.keys()) == []
+    # an exemption whose name is used again, or gone, is stale
+    assert sorted(UNREFERENCED_OK.keys() & used) == []
+    assert sorted(UNREFERENCED_OK.keys() - defined) == []

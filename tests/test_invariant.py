@@ -96,6 +96,22 @@ class TestPresets:
         assert prof.m[-1] == pytest.approx(lin_thermo.phi(1.0), rel=1e-6)
         assert prof.constants["c3"] == pytest.approx(0.0, abs=1e-12)
 
+    def test_critical_preset_builds_past_the_overflow(self, lin_thermo):
+        # its right branch is constant (c3 == 0); r**x overflows a double
+        # from x = 645 on, and 0 * inf must not turn the branch into nan
+        params = ModelParams(p=0.75, alpha=1.0, beta=0.0, N=100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            prof = preset_profile("absorbing-critical", params, 1.0,
+                                  lin_thermo, (-700, 700))
+            homogeneous = build_profile(
+                ModelParams(p=0.75, alpha=0.0, beta=0.0, N=100),
+                (-700, 700), c1=0.0, c2=0.7)
+        assert prof.constants["c3"] == 0.0
+        assert np.all(prof.m[700:] == prof.constants["c4"])
+        assert prof.residual() <= 1e-10
+        assert np.all(homogeneous.m == 0.7)
+
     def test_subcritical_preset(self, lin_thermo):
         params = ModelParams(p=0.75, alpha=1.0, beta=0.5, N=100)
         prof = preset_profile("absorbing-subcritical", params, 1.0,

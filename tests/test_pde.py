@@ -1,18 +1,21 @@
+import math
+
 import numpy as np
 import pytest
 
+from zrhydro import pde
 from zrhydro.engine import ModelParams
-from zrhydro.pde import (CflError, DirichletDensity, FluxModel, PdeGrid,
-                         ZeroFlux, boundary_density_from_left_trace,
+from zrhydro.pde import (CflError, DirichletDensity, FluxModel, PdeError,
+                         PdeGrid, ZeroFlux, boundary_density_from_left_trace,
                          boundary_flux_trace, compose_theorem_solution,
-                         default_M, kruzhkov_check, l1_contraction_check,
-                         left_trace_from_grid, solve_half_line,
-                         solve_whole_line, _check_cfl)
+                         default_M, kruzhkov_check, left_trace_from_grid,
+                         solve_half_line, solve_whole_line, _check_cfl,
+                         _stable_dt)
 from zrhydro.profiles import DensityProfile
-from zrhydro.rates import indicator_rate, linear_rate
+from zrhydro.rates import indicator_rate, linear_rate, rate_from_spec
 from zrhydro.testfuncs import TestFunction2D, bump_family, \
     hat_profile_callable
-from zrhydro.thermo import ThermoTable
+from zrhydro.thermo import DensityRangeError, ThermoTable
 
 
 @pytest.fixture(scope="module")
@@ -257,6 +260,130 @@ class TestKruzhkov:
 
 class TestContraction:
     def test_l1_contraction(self, ind_flux):
+        # the L1 distance between two solutions never grows (monotone scheme)
         a = DensityProfile.from_spec("-1:0:1", du=0.01)
         b = DensityProfile.from_spec("-0.8:0.2:1.5", du=0.01)
-        assert l1_contraction_check(a, b, ind_flux, 0.5, 0.01, (-1.5, 1.5))
+        ga, gb = (solve_whole_line(r, ind_flux, 0.5, du=0.01,
+                                   domain=(-1.5, 1.5)) for r in (a, b))
+        d = np.abs(ga.values - gb.values).sum(axis=1) * 0.01
+        assert np.all(np.diff(d) <= 1e-12 * max(d[0], 1.0))
+
+
+def _reference_march(rho, flux, T, du, dt, left_ghost):
+    """The per-step march that ``pde._march`` must reproduce bit for bit:
+    F through ``flux.F`` on every step, ghost included, and whole-array
+    checks."""
+    n_steps = int(math.ceil(T / dt - 1e-12))
+    lam = dt / du
+    lo0, hi0 = float(rho.min()), float(rho.max())
+    vals = np.empty((n_steps + 1, len(rho)))
+    vals[0] = rho
+    inflow = np.zeros(n_steps + 1)
+    outflow = np.zeros(n_steps + 1)
+    Ffun = flux.F
+    for n in range(n_steps):
+        t = n * dt
+        cur = vals[n]
+        Fc = Ffun(cur)
+        if left_ghost is None:
+            ghost = float(cur[0])
+        else:
+            ghost = float(left_ghost(t))
+        f_in = float(Ffun(np.array([ghost]))[0])
+        fluxes = np.concatenate([[f_in], Fc])
+        new = cur - lam * (fluxes[1:] - fluxes[:-1])
+        if not np.all(np.isfinite(new)):
+            raise PdeError("non-finite state during time marching")
+        lo0 = min(lo0, ghost)
+        hi0 = max(hi0, ghost)
+        if new.min() < lo0 - 1e-12 or new.max() > hi0 + 1e-12:
+            raise PdeError("maximum principle violated")
+        vals[n + 1] = new
+        inflow[n + 1] = inflow[n] + dt * f_in
+        outflow[n + 1] = outflow[n] + dt * Fc[-1]
+    return vals, inflow, outflow
+
+
+def _hex(a):
+    return [float(v).hex() for v in np.ravel(a)]
+
+
+#: (initial data, left boundary) of each march setup; the whole line
+#: extends its first cell, the half line reads a ghost
+MARCH_SETUPS = {
+    "whole-line": ("-1:-0.4:0.5,-0.4:0.3:2,0.3:0.8:0.8", None),
+    "dirichlet-callable": ("0:0.5:0.4,0.5:1:1.6", DirichletDensity(
+        lambda t: 1.0 + 0.8 * math.sin(9 * t))),
+    "dirichlet-constant": ("0:0.5:0.4,0.5:1:1.6", DirichletDensity(1.3)),
+    "zero-flux": ("0:0.5:1.5,0.5:1:0.3", ZeroFlux()),
+}
+MARCH_RATES = ("linear", "indicator", "table:0,1,1.5,1.8;slope=0.25")
+
+
+def _march_args(rate, setup, du=0.02, T=0.8):
+    flux = FluxModel(ThermoTable(rate_from_spec(rate), rho_max=4.0), p=0.75)
+    spec, boundary = MARCH_SETUPS[setup]
+    rho0 = DensityProfile.from_spec(spec, du=du)
+    if boundary is None:
+        init, ghost = rho0.resample(-1.2, 1.0, du), None
+    else:
+        init = rho0.resample(0.0, 1.0, du)
+        ghost = boundary.value if isinstance(boundary, DirichletDensity) \
+            else (lambda t: 0.0)
+    return init.values, flux, T, du, _stable_dt(flux, du, T), ghost
+
+
+class TestMarchReference:
+    @pytest.mark.parametrize("rate", MARCH_RATES)
+    @pytest.mark.parametrize("setup", sorted(MARCH_SETUPS))
+    def test_bit_identical_to_the_per_step_march(self, rate, setup):
+        args = _march_args(rate, setup)
+        got = pde._march(*args)
+        ref = _reference_march(*args)
+        assert got[0].shape == ref[0].shape
+        for g, r in zip(got, ref):
+            assert _hex(g) == _hex(r)
+        # the march moved something and fed the outflow edge
+        assert np.any(got[0][-1] != got[0][0]) and got[2][-1] > 0
+
+    def test_cfl_violation_fails_at_the_reference_step(self):
+        rho, flux, _, du, dt, _ = _march_args("indicator", "whole-line")
+        rho = DensityProfile.from_spec("-1:0:2,0:1:0.5", du=du).resample(
+            -1.2, 1.0, du).values
+        dt *= 1.2
+        steps = []
+        for march in (pde._march, _reference_march):
+            for k in range(1, 100):
+                try:
+                    march(rho, flux, k * dt, du, dt, None)
+                except PdeError as err:
+                    assert str(err) == "maximum principle violated"
+                    steps.append(k)
+                    break
+        assert len(steps) == 2 and steps[0] == steps[1] > 1
+
+    @pytest.mark.parametrize("case", ["nan-ghost", "high-ghost", "nan-data",
+                                      "nan-and-high-data", "high-data"])
+    def test_error_paths_match_the_reference(self, case):
+        rho, flux, T, du, dt, _ = _march_args("linear", "zero-flux")
+        top = flux.thermo.covered_rho_max
+        ghost = (lambda t: 0.5)
+        if case == "nan-ghost":
+            ghost = (lambda t: math.nan if t > 0.3 else 0.5)
+        elif case == "high-ghost":
+            ghost = (lambda t: 2 * top if t > 0.3 else 0.5)
+        else:
+            rho = rho.copy()
+            if "nan" in case:
+                rho[5] = math.nan
+            if "high" in case:
+                rho[9] = 2 * top
+        expect = {"nan-ghost": (PdeError, "non-finite"),
+                  "high-ghost": (DensityRangeError, "tabulated range"),
+                  "nan-data": (PdeError, "non-finite"),
+                  "nan-and-high-data": (DensityRangeError, "tabulated range"),
+                  "high-data": (DensityRangeError, "tabulated range")}[case]
+        for march in (pde._march, _reference_march):
+            with pytest.raises(expect[0], match=expect[1]) as err:
+                march(rho, flux, T, du, dt, ghost)
+            assert type(err.value) is expect[0]
