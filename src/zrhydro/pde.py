@@ -17,8 +17,10 @@ then takes its new state's min and max once, and they drive the
 finiteness check, the maximum principle and the range check of the state
 the next step marches.  So a bad state fails the same check at the same
 step as under a per-step ``flux.F``; only a bad ghost fails earlier, before
-the first step.  At beta = 0 the boundary map runs once per distinct value
-of the trace column.
+the first step.  So a ghost out of range fails ahead of a NaN ghost of an
+earlier step, which the per-step march met first.  Both range checks are
+``ThermoTable.check_range``.  At beta = 0 the boundary map runs once per
+distinct value of the trace column.
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ import numpy as np
 
 from .engine import ModelParams
 from .profiles import DensityProfile
-from .thermo import DensityRangeError, ThermoTable
+from .thermo import ThermoTable
 
 #: CFL safety factor
 CFL_NUMBER = 0.9
@@ -152,24 +154,22 @@ def _march(rho, flux, T, du, dt, left_ghost):
 
     The ghost column is read once, before the march, and its fluxes come
     from one ``flux.F`` call, whose range check so covers every ghost up
-    front.  Each step then forms F(cur) = (2p - 1) Phi(cur) itself, into
+    front.  Each step then forms F(cur) from ``phi_interp`` into
     preallocated buffers, and takes the new state's min and max once.
     They drive, in this order: the finiteness check (a NaN reaches both),
     the maximum principle against the data and the ghosts so far, and
-    ``phi_of``'s range check on the state the next step will march.
+    ``check_range`` on the state the next step will march.
     """
     n_steps = int(math.ceil(T / dt - 1e-12))
     lam = dt / du
     drift = flux.drift
     table = flux.thermo
-    dens, zetas = table.densities, table.zetas
-    top = table.covered_rho_max * (1 + 1e-9)
     vals = np.empty((n_steps + 1, len(rho)))
     vals[0] = rho
-    lo0, hi0 = float(rho.min()), float(rho.max())
-    lo, hi = lo0, hi0  # of the state the next step marches
-    if n_steps and math.isnan(lo):
-        table.phi_of(rho)  # min and max hide the other cells behind a NaN
+    # fmin and fmax pass over a NaN in the data, as phi_of does; the first
+    # step's finiteness check then catches it
+    lo0 = lo = float(np.fmin.reduce(rho))
+    hi0 = hi = float(np.fmax.reduce(rho))
     if left_ghost is not None:
         ghosts = [float(left_ghost(n * dt)) for n in range(n_steps)]
         f_ins = flux.F(np.array(ghosts))
@@ -177,10 +177,9 @@ def _march(rho, flux, T, du, dt, left_ghost):
     Fc = fluxes[1:]
     diff = np.empty(len(rho))
     for n in range(n_steps):
-        if lo < -1e-12 or hi > top:
-            raise DensityRangeError("density outside tabulated range")
+        table.check_range(lo, hi)
         cur, new = vals[n], vals[n + 1]
-        np.multiply(np.interp(cur, dens, zetas), drift, out=Fc)
+        np.multiply(table.phi_interp(cur), drift, out=Fc)
         if left_ghost is None:
             ghost = float(cur[0])  # zero-gradient: first cell unchanged
             fluxes[0] = Fc[0]
@@ -416,13 +415,13 @@ def kruzhkov_check(grid: PdeGrid, flux: FluxModel, boundary,
     inequality passes when the quadrature value is above -tol with tol
     proportional to the derivative norms of H times the cell width.
 
-    F of the c values and the boundary density of every row the family
-    reads are evaluated once per check, each test function's block once,
-    and rho - c and F(rho) - F(c) once per c for both forms.  Each
-    (c, form) entry is an interior integral I plus M times a boundary
-    integral B, so Dirichlet checks also report ``smallest_M``: the first
-    m on linspace(0, M, 21) with I + m B >= -tol for every entry (else
-    M).
+    F of the c values comes from one call per check, so a c outside the
+    table's range raises even for an empty family.  Each test function's
+    block is evaluated once, and rho - c and F(rho) - F(c) once per c for
+    both forms.  Each (c, form) entry is an interior integral I plus M
+    times a boundary integral B, so Dirichlet checks also report
+    ``smallest_M``: the first m on linspace(0, M, 21) with I + m B >= -tol
+    for every entry (else M).
     """
     if c_values is None:
         top = 1.2 * float(grid.values.max())
@@ -437,20 +436,13 @@ def kruzhkov_check(grid: PdeGrid, flux: FluxModel, boundary,
     centers = grid.centers
     cs = [float(c) for c in c_values]
     Fcs = flux.F(np.array(cs)).tolist()
-    # each test function's time rows n0..n1
-    last = grid.values.shape[0] - 1
-    family = [(H, max(int(math.floor(H.t_support[0] / grid.dt)), 0),
-               min(int(math.ceil(H.t_support[1] / grid.dt)), last))
-              for H in test_family]
-    if dirichlet and family:
-        # the boundary density of every row a test function reads, once
-        first = min(n0 for _, n0, _ in family)
-        bar = np.array([boundary.value(n * grid.dt) for n in
-                        range(first, max(n1 for _, _, n1 in family) + 1)])
     entries, parts = [], []  # parts: (I, B, tol) of each entry
-    for H, n0, n1 in family:
+    for H in test_family:
         tol = (grid.du * (H.sup_dt() + flux.flux_lipschitz * H.sup_du())
                * min(2 * H.t_halfwidth, T_span) * 2 * H.u_halfwidth)
+        t0, t1 = H.t_support
+        n0 = max(int(math.floor(t0 / grid.dt)), 0)
+        n1 = min(int(math.ceil(t1 / grid.dt)), grid.values.shape[0] - 1)
         times = np.arange(n0, n1 + 1) * grid.dt
         u0, u1 = H.u_support
         jmask = (centers + grid.du / 2 > u0) & (centers - grid.du / 2 < u1)
@@ -460,7 +452,7 @@ def kruzhkov_check(grid: PdeGrid, flux: FluxModel, boundary,
         H_t, H_u = H.dt(times[:, None], us), H.du(times[:, None], us)
         if dirichlet:
             H_0 = H.value(times, 0.0)
-            rho_bar = bar[n0 - first:n1 - first + 1]
+            rho_bar = np.array([boundary.value(t) for t in times.tolist()])
         for c, Fc in zip(cs, Fcs):
             d_rho, d_F = rho - c, F_rho - Fc
             if dirichlet:

@@ -236,12 +236,29 @@ class ThermoTable:
 
     # -- vectorized interface (interpolation on the tabulated grid) -----
 
+    def check_range(self, lo: float, hi: float):
+        """Raise unless densities from lo to hi are in ``phi_of``'s range.
+
+        A NaN bound passes; interpolation maps a NaN density to NaN.
+        """
+        if lo < -1e-12 or hi > self.covered_rho_max * (1 + 1e-9):
+            raise DensityRangeError("density outside tabulated range")
+
+    def phi_interp(self, rho):
+        """Phi by interpolation on the construction grid, unchecked.
+
+        For densities already passed through ``check_range``.
+        """
+        return np.interp(rho, self.densities, self.zetas)
+
     def phi_of(self, rho):
         """Vectorized Phi via interpolation on the construction grid."""
         rho = np.asarray(rho, dtype=float)
-        if np.any(rho < -1e-12) or np.any(rho > self.covered_rho_max * (1 + 1e-9)):
-            raise DensityRangeError("density outside tabulated range")
-        return np.interp(rho, self.densities, self.zetas)
+        if rho.size:
+            # fmin and fmax pass over NaN, so a NaN hides no other density
+            self.check_range(np.fmin.reduce(rho, axis=None),
+                             np.fmax.reduce(rho, axis=None))
+        return self.phi_interp(rho)
 
     # -- sampling --------------------------------------------------------
 

@@ -363,7 +363,8 @@ class TestMarchReference:
         assert len(steps) == 2 and steps[0] == steps[1] > 1
 
     @pytest.mark.parametrize("case", ["nan-ghost", "high-ghost", "nan-data",
-                                      "nan-and-high-data", "high-data"])
+                                      "nan-and-high-data", "nan-and-low-data",
+                                      "high-data", "nan-then-high-ghost"])
     def test_error_paths_match_the_reference(self, case):
         rho, flux, T, du, dt, _ = _march_args("linear", "zero-flux")
         top = flux.thermo.covered_rho_max
@@ -372,18 +373,32 @@ class TestMarchReference:
             ghost = (lambda t: math.nan if t > 0.3 else 0.5)
         elif case == "high-ghost":
             ghost = (lambda t: 2 * top if t > 0.3 else 0.5)
+        elif case == "nan-then-high-ghost":
+            ghost = (lambda t: 2 * top if t > 0.6
+                     else math.nan if t > 0.3 else 0.5)
         else:
             rho = rho.copy()
             if "nan" in case:
                 rho[5] = math.nan
             if "high" in case:
                 rho[9] = 2 * top
+            if "low" in case:
+                rho[9] = -0.5
         expect = {"nan-ghost": (PdeError, "non-finite"),
                   "high-ghost": (DensityRangeError, "tabulated range"),
                   "nan-data": (PdeError, "non-finite"),
                   "nan-and-high-data": (DensityRangeError, "tabulated range"),
-                  "high-data": (DensityRangeError, "tabulated range")}[case]
-        for march in (pde._march, _reference_march):
-            with pytest.raises(expect[0], match=expect[1]) as err:
+                  "nan-and-low-data": (DensityRangeError, "tabulated range"),
+                  "high-data": (DensityRangeError, "tabulated range"),
+                  "nan-then-high-ghost": (DensityRangeError,
+                                          "tabulated range")}
+        # the only deliberate change of error: the march range-checks every
+        # ghost before its first step, so a later ghost out of range fails
+        # ahead of the NaN ghost that the per-step march meets first
+        ref_expect = dict(expect)
+        ref_expect["nan-then-high-ghost"] = (PdeError, "non-finite")
+        for march, (kind, msg) in ((pde._march, expect[case]),
+                                   (_reference_march, ref_expect[case])):
+            with pytest.raises(kind, match=msg) as err:
                 march(rho, flux, T, du, dt, ghost)
-            assert type(err.value) is expect[0]
+            assert type(err.value) is kind

@@ -140,6 +140,18 @@ class TestThermoTable:
         for r, v in zip(rhos, vec):
             assert v == pytest.approx(ind.phi(r), abs=1e-6)
 
+    def test_vectorized_range_check(self, lin):
+        top = lin.covered_rho_max
+        # a NaN passes and maps to NaN, but hides no density out of range
+        got = lin.phi_of(np.array([[math.nan, 0.5], [1.0, math.nan]]))
+        assert np.isnan(got[0, 0]) and got[1, 0] == lin.phi_of(1.0)
+        assert lin.phi_of(np.array([])).shape == (0,)
+        for bad in ([math.nan, 2 * top], [0.5, -1e-9], [top * (1 + 1e-8)]):
+            with pytest.raises(DensityRangeError, match="tabulated range"):
+                lin.phi_of(np.array(bad))
+        assert lin.phi_of(top * (1 + 1e-10)) == lin.phi_of(top)
+        assert lin.phi_of(-1e-13) == 0.0
+
     def test_sampling_mean(self, lin):
         rng = np.random.default_rng(1)
         draws = lin.sample_marginal(1.0, rng, 100_000)
