@@ -1,17 +1,25 @@
-"""Build and load the compiled event loop, ``_kernel.c``.
+"""Build and load the compiled library, ``_kernel.c``.
 
-The kernel is compiled on first use with the system C compiler ``cc`` and
-loaded with ``ctypes``; nothing happens at import.  The shared library is
-cached under ``$XDG_CACHE_HOME/zrhydro`` (else ``~/.cache/zrhydro``), named
-by a hash of the source and the compiler flags, so an edited source or new
-flags build afresh.  A build writes a temporary file and renames it into
-place, so processes that start at once cannot load a half-written library.
+The library holds the engines' event loop (``zrh_run``), the sum-tree
+build (``zrh_build``), and the PDE layer's upwind march (``zrh_march``,
+with ``zrh_interp``) and Phi/R series (``zrh_phi``, ``zrh_density``).
+Each repeats its Python reference bit for bit; the reference raises every
+error, and runs everything when no library loads.
+
+The library is compiled on first use with the system C compiler ``cc``
+and loaded with ``ctypes``; nothing happens at import.  The shared library
+is cached under ``$XDG_CACHE_HOME/zrhydro`` (else ``~/.cache/zrhydro``),
+named by a hash of the source and the compiler flags, so an edited source
+or new flags build afresh.  A build writes a temporary file and renames
+it into place, so processes that start at once cannot load a half-written
+library.
 
 The flags keep the arithmetic exact: no ``-ffast-math``, and
-``-ffp-contract=off`` so that no multiply-add is fused, which the Python
-loop cannot do either.  When no compiler is found or the build fails,
-``load()`` warns once and returns None, and the engines run the Python
-loop.
+``-ffp-contract=off`` so that no multiply-add is fused, which Python and
+numpy cannot do either.  When no compiler is found or the build fails,
+``load()`` warns once and returns None, and every caller runs its Python
+reference: the engines the Python loop, ``pde`` and ``thermo`` their
+numpy code.
 """
 from __future__ import annotations
 
@@ -26,6 +34,7 @@ FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 LIBS = ("-lm",)
 
 _i64, _f64, _ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+_int = ctypes.c_int
 
 
 class State(ctypes.Structure):
@@ -44,8 +53,19 @@ class KernelUnavailable(RuntimeError):
     pass
 
 
-#: the loaded entry point, or None after a failed load; unset until the
-#: first load()
+#: (restype, argtypes) of each entry point; ``_kernel.c`` documents them
+ENTRY_POINTS = {
+    "zrh_run": (None, [ctypes.POINTER(State)]),
+    "zrh_build": (None, [_ptr, _ptr, _i64]),
+    "zrh_interp": (None, [_ptr, _i64, _ptr, _ptr, _i64, _ptr]),
+    "zrh_march": (_int, [_ptr, _i64, _i64, _ptr, _ptr, _i64, _f64, _f64,
+                         _ptr, _ptr, _f64, _f64, _f64, _f64, _ptr]),
+    "zrh_density": (_int, [_ptr, _i64, _ptr, _f64, _i64, _ptr]),
+    "zrh_phi": (_int, [_ptr, _i64, _f64, _ptr, _f64, _i64, _f64, _ptr]),
+}
+
+#: the loaded library, or None after a failed load; unset until the first
+#: load()
 _loaded: list = []
 
 
@@ -89,20 +109,22 @@ def _library() -> Path:
 
 
 def load():
-    """The kernel's ``zrh_run`` entry point, built and loaded on the first
-    call; None, with one RuntimeWarning naming the reason, when it cannot
-    be built or loaded."""
+    """The library, built and loaded on the first call, with the argument
+    and result types of every entry point set; None, with one
+    RuntimeWarning naming the reason, when it cannot be built or
+    loaded."""
     if not _loaded:
         try:
             try:
-                fn = ctypes.CDLL(str(_library())).zrh_run
-            except OSError as e:
+                lib = ctypes.CDLL(str(_library()))
+                for name, (restype, argtypes) in ENTRY_POINTS.items():
+                    fn = getattr(lib, name)
+                    fn.restype, fn.argtypes = restype, argtypes
+            except (OSError, AttributeError) as e:
                 raise KernelUnavailable(f"cannot load the kernel: {e}")
-            fn.argtypes = [ctypes.POINTER(State)]
-            fn.restype = None
         except KernelUnavailable as e:
-            warnings.warn(f"zrhydro: {e}; running the Python event loop",
+            warnings.warn(f"zrhydro: {e}; running the Python reference",
                           RuntimeWarning, stacklevel=2)
-            fn = None
-        _loaded.append(fn)
+            lib = None
+        _loaded.append(lib)
     return _loaded[0]

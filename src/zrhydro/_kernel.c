@@ -1,11 +1,14 @@
-/* Compiled event loop of zrhydro's four processes.
+/* Compiled inner loops of zrhydro: the event loop of its four processes,
+ * the sum-tree build, and the upwind march and the Phi/R series of the
+ * PDE layer.  Each repeats its Python reference operation for operation,
+ * so the two give bit-identical results (build with -ffp-contract=off and
+ * no -ffast-math).  A routine that meets an error returns a non-zero
+ * status and the caller re-runs the reference, which raises it.
  *
  * zrh_run() runs the Gillespie direct-method loop of engine.GillespieLoop
- * over a stretch of events, operation for operation as the Python loop and
- * its step closures do them, so the two produce bit-identical trajectories
- * (build with -ffp-contract=off and no -ffast-math).  Each event reads four
- * uniforms from the caller's buffer: waiting time, site, channel,
- * direction.
+ * over a stretch of events, as the Python loop and its step closures do
+ * them.  Each event reads four uniforms from the caller's buffer: waiting
+ * time, site, channel, direction.
  *
  * The kernel peeks at the next event before it changes anything, and
  * returns to the caller, with that event not yet begun, whenever the event
@@ -13,9 +16,11 @@
  * at or below 1e-300, a waiting time that reaches t_stop (the next observer
  * time, or the end time), an event count that reaches ev_max (an audit or
  * the event budget), an empty-site pick or an exit beyond the leak cap.
- * The caller then runs that one event in Python.
+ * The caller then runs that one event in Python, or, when only the buffer
+ * ran out, refills it and calls again.
  */
 #include <math.h>
+#include <stddef.h>
 #include <stdint.h>
 
 enum { EVENT = 0, BASIC = 1, SECOND = 2, LABELED = 3 };
@@ -321,4 +326,197 @@ void zrh_run(zrh_state *s)
     s->events = events;
     s->t = t;
     s->total = total;
+}
+
+/* Sum-tree nodes of values[0..n): node j sums values[j - lowbit(j)..j) from
+ * the left, as SumTree.rebuild's accumulate forms it; node 0 is 0. */
+void zrh_build(const double *values, double *tree, int64_t n)
+{
+    tree[0] = 0.0;
+    for (int64_t j = 1; j <= n; j++) {
+        int64_t k = j - (j & -j);
+        double s = values[k];
+        while (++k < j)
+            s += values[k];
+        tree[j] = s;
+    }
+}
+
+/* np.interp(x, xp, fp) for m >= 2 increasing xp, as numpy computes it:
+ * the same branches in the same order, the same slope and the same NaN
+ * fallback.  Like numpy, the search for x[i] starts at the cell of x[i-1];
+ * for increasing xp the cell found does not depend on where it starts. */
+void zrh_interp(const double *x, int64_t n, const double *xp,
+                const double *fp, int64_t m, double *out)
+{
+    int64_t lo = 0;
+    for (int64_t i = 0; i < n; i++) {
+        double v = x[i];
+        if (isnan(v)) {
+            out[i] = v;
+            continue;
+        }
+        if (v < xp[0]) {
+            out[i] = fp[0];
+            continue;
+        }
+        if (v >= xp[m - 1]) {
+            out[i] = fp[m - 1];
+            continue;
+        }
+        /* the last lo with xp[lo] <= v: keep the last cell if it holds v,
+         * else bisect the side of it that does */
+        if (!(xp[lo] <= v && v < xp[lo + 1])) {
+            int64_t hi = m - 1;
+            if (v < xp[lo]) {
+                hi = lo;
+                lo = 0;
+            }
+            while (hi - lo > 1) {
+                int64_t mid = lo + (hi - lo) / 2;
+                if (v >= xp[mid])
+                    lo = mid;
+                else
+                    hi = mid;
+            }
+        }
+        if (xp[lo] == v) {
+            out[i] = fp[lo];
+            continue;
+        }
+        double slope = (fp[lo + 1] - fp[lo]) / (xp[lo + 1] - xp[lo]);
+        double r = slope * (v - xp[lo]) + fp[lo];
+        if (isnan(r)) {
+            r = slope * (v - xp[lo + 1]) + fp[lo + 1];
+            if (isnan(r) && fp[lo] == fp[lo + 1])
+                r = fp[lo];
+        }
+        out[i] = r;
+    }
+}
+
+enum { MARCH_OK = 0, MARCH_RANGE = 1, MARCH_NONFINITE = 2, MARCH_MAXPRINC = 3 };
+
+/* The step loop of pde._march on vals[(n_steps + 1) * n_cells], whose row
+ * 0 holds the data.  F at a cell is drift * interp(rho, xp, fp); the left
+ * edge takes f_ins[n] with ghost ghosts[n], or, when ghosts is NULL, the
+ * first cell's F with the first cell as ghost.  lo and hi are the data's
+ * min and max, and a state passes the range check when
+ * range_lo <= lo and hi <= range_hi.  F is scratch of n_cells.  Returns
+ * MARCH_OK, or the check that failed, in the reference's order: range,
+ * non-finite, maximum principle. */
+int zrh_march(double *vals, int64_t n_cells, int64_t n_steps,
+              const double *xp, const double *fp, int64_t m, double drift,
+              double lam, const double *ghosts, const double *f_ins,
+              double lo, double hi, double range_lo, double range_hi,
+              double *F)
+{
+    double lo0 = lo, hi0 = hi;
+    for (int64_t n = 0; n < n_steps; n++) {
+        if (lo < range_lo || hi > range_hi)
+            return MARCH_RANGE;
+        const double *cur = vals + n * n_cells;
+        double *new = vals + (n + 1) * n_cells;
+        zrh_interp(cur, n_cells, xp, fp, m, F);
+        for (int64_t j = 0; j < n_cells; j++)
+            F[j] = F[j] * drift;
+        double ghost, left;
+        if (ghosts == NULL) {
+            ghost = cur[0];
+            left = F[0];
+        } else {
+            ghost = ghosts[n];
+            left = f_ins[n];
+        }
+        int finite = 1;
+        lo = INFINITY;
+        hi = -INFINITY;
+        for (int64_t j = 0; j < n_cells; j++) {
+            double v = cur[j] - (F[j] - left) * lam;
+            left = F[j];
+            new[j] = v;
+            finite &= isfinite(v) != 0;
+            if (v < lo)
+                lo = v;
+            if (v > hi)
+                hi = v;
+        }
+        /* numpy's min and max are those of a finite state */
+        if (!finite)
+            return MARCH_NONFINITE;
+        /* Python's min(lo0, ghost) and max(hi0, ghost) */
+        if (ghost < lo0)
+            lo0 = ghost;
+        if (ghost > hi0)
+            hi0 = ghost;
+        if (lo < lo0 - 1e-12 || hi > hi0 + 1e-12)
+            return MARCH_MAXPRINC;
+    }
+    return MARCH_OK;
+}
+
+/* R(zeta) = S / Z, with Z = sum_k t_k and S = sum_k k t_k over the running
+ * product t_k = t_{k-1} (zeta / g[k-1]), t_0 = 1, as thermo._series forms
+ * them.  Each sum is read at its own first k >= 1 with t_k <= tol times
+ * its partial sum.  Returns 1, with *out unset, when a sum has not
+ * stopped within budget - 1 terms or overflows a double. */
+static int density(double zeta, const double *g, double tol, int64_t budget,
+                   double *out)
+{
+    double term = 1.0, z = 1.0, s = 0.0, Z = 0.0, S = 0.0;
+    int z_open = 1, s_open = 1;
+    for (int64_t k = 1; k < budget && (z_open || s_open); k++) {
+        term = term * (zeta / g[k - 1]);
+        z = z + term;
+        s = s + (double)k * term;
+        if (z_open && term <= tol * z) {
+            Z = z;
+            z_open = 0;
+        }
+        if (s_open && term <= tol * s) {
+            S = s;
+            s_open = 0;
+        }
+    }
+    if (z_open || s_open || Z == INFINITY || S == INFINITY)
+        return 1;
+    *out = S / Z;
+    return 0;
+}
+
+/* R at each of n fugacities; g holds g(1), g(2), ...  Returns 0, or 1 at
+ * the first fugacity whose series fails. */
+int zrh_density(const double *zetas, int64_t n, const double *g, double tol,
+                int64_t budget, double *out)
+{
+    for (int64_t i = 0; i < n; i++)
+        if (density(zetas[i], g, tol, budget, &out[i]))
+            return 1;
+    return 0;
+}
+
+/* Phi at each of n densities: 0 at a zero density, else the bisection of
+ * ThermoTable.phi on [0, top], each density on its own, until the bracket
+ * is at most phi_tol wide.  Returns 0, or 1 when a series fails. */
+int zrh_phi(const double *rho, int64_t n, double top, const double *g,
+            double tol, int64_t budget, double phi_tol, double *out)
+{
+    for (int64_t i = 0; i < n; i++) {
+        double lo = 0.0, hi = top;
+        if (rho[i] == 0.0) {
+            out[i] = 0.0;
+            continue;
+        }
+        while (hi - lo > phi_tol) {
+            double mid = 0.5 * (lo + hi), r;
+            if (density(mid, g, tol, budget, &r))
+                return 1;
+            if (r < rho[i])
+                lo = mid;
+            else
+                hi = mid;
+        }
+        out[i] = 0.5 * (lo + hi);
+    }
+    return 0;
 }

@@ -14,10 +14,12 @@ its per-site rate and its per-event rule.
 The loop runs most events in a compiled kernel (``_kernel.c``, built on
 first use by ``_ckernel``) that repeats the Python loop operation for
 operation, so both give bit-identical trajectories.  The kernel hands
-every event that needs Python back to the loop: buffer refills, observer
-times, audits, the event budget, the leak cap and empty-site picks.  The
-Python loop is the reference, and runs everything when no C compiler
-works; ``TrajectoryRecord.kernel`` says which one ran.
+every event that needs Python back to the loop: observer times, audits,
+the event budget, the leak cap, empty-site picks and events that straddle
+two uniform blocks; a block that runs out between events is refilled
+without leaving ``_stretch``.  The same library builds array-backed sum
+trees.  The Python loop is the reference, and runs everything when no C
+compiler works; ``TrajectoryRecord.kernel`` says which one ran.
 """
 from __future__ import annotations
 
@@ -155,9 +157,10 @@ class SumTree:
     ``tree``.  Both are lists when the tree is built from a list (the
     Python loop indexes them faster) and numpy arrays when it is built
     from an array (the compiled kernel shares them); ``rebuild`` and
-    ``set`` change them in place.  ``set`` moves a value and the nodes
-    together, as the kernel's ``refresh()`` does; ``update`` moves the
-    nodes only.
+    ``set`` change them in place.  ``rebuild`` forms an array-backed
+    tree's nodes in the compiled library when one loads.  ``set`` moves a
+    value and the nodes together, as the kernel's ``refresh()`` does;
+    ``update`` moves the nodes only.
     """
 
     def __init__(self, values):
@@ -175,6 +178,11 @@ class SumTree:
         all."""
         n = self.n
         v = np.asarray(values, dtype=np.float64)
+        lib = None if isinstance(self.tree, list) else _ckernel.load()
+        if lib is not None:
+            self.values[:] = v
+            lib.zrh_build(self.values.ctypes.data, self.tree.ctypes.data, n)
+            return
         t = np.zeros(n + 1)
         k = 1
         while k <= n:
@@ -294,11 +302,11 @@ class GillespieLoop:
         self._mass0 = self._balance()
         self._leak_cap = self.leak_fraction * max(sum(self._mass0), 1)
         self._ub = UniformBlock(self.rng)
-        fn = _ckernel.load()
-        self.kernel = "python" if fn is None else "c"
-        if fn is not None:
+        lib = _ckernel.load()
+        self.kernel = "python" if lib is None else "c"
+        if lib is not None:
             self._tree = SumTree(rates)
-            self._bind(fn)
+            self._bind(lib.zrh_run)
         else:
             self._tree = SumTree(rates.tolist())
             for name in dict.fromkeys(("_gt", "_scale", "_cnt") + self._OCC):
@@ -318,16 +326,26 @@ class GillespieLoop:
 
     def _stretch(self, t, total, events, t_stop, ev_max):
         """Run compiled events from (t, total, events) up to the next one
-        that needs Python; returns the new (t, total, events)."""
+        that needs Python; returns the new (t, total, events).
+
+        A kernel that stopped only because the uniform block ran out,
+        exactly at an event boundary, is refilled and run again: the
+        Python loop would draw next, and so refill the block the same way
+        at the same point of the stream."""
         st, ub = self._st, self._ub
-        if ub._buf is not self._st_buf:
-            self._st_buf = ub._buf
-            st.buf, st.buf_n = ub._buf.ctypes.data, len(ub._buf)
-        st.i, st.events, st.ev_max = ub._i, events, ev_max
+        st.events, st.ev_max = events, ev_max
         st.t, st.total, st.t_stop = t, total, t_stop
-        self._kernel_run(st)
-        ub._i = st.i
-        return st.t, st.total, st.events
+        while True:
+            if ub._buf is not self._st_buf:
+                self._st_buf = ub._buf
+                st.buf, st.buf_n = ub._buf.ctypes.data, len(ub._buf)
+            st.i = ub._i
+            self._kernel_run(st)
+            ub._i = st.i
+            if not (st.i == st.buf_n and st.events < ev_max
+                    and st.total > 1e-300 and st.t < t_stop):
+                return st.t, st.total, st.events
+            ub.refill()
 
     # -- hooks -----------------------------------------------------------
 

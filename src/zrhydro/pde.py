@@ -18,9 +18,11 @@ finiteness check, the maximum principle and the range check of the state
 the next step marches.  So a bad state fails the same check at the same
 step as under a per-step ``flux.F``; only a bad ghost fails earlier, before
 the first step.  So a ghost out of range fails ahead of a NaN ghost of an
-earlier step, which the per-step march met first.  Both range checks are
-``ThermoTable.check_range``.  At beta = 0 the boundary map runs once per
-distinct value of the trace column.
+earlier step, which the per-step march met first.  Both range checks take
+their bounds from ``ThermoTable.range_bounds``.  The steps run in the
+compiled library when one loads (``_ckernel``); the numpy steps are the
+reference, and raise every error.  At beta = 0 the boundary map runs once
+per distinct value of the trace column.
 """
 from __future__ import annotations
 
@@ -29,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _ckernel
 from .engine import ModelParams
 from .profiles import DensityProfile
 from .thermo import ThermoTable
@@ -154,37 +157,76 @@ def _march(rho, flux, T, du, dt, left_ghost):
 
     The ghost column is read once, before the march, and its fluxes come
     from one ``flux.F`` call, whose range check so covers every ghost up
-    front.  Each step then forms F(cur) from ``phi_interp`` into
-    preallocated buffers, and takes the new state's min and max once.
-    They drive, in this order: the finiteness check (a NaN reaches both),
-    the maximum principle against the data and the ghosts so far, and
-    ``check_range`` on the state the next step will march.
+    front.  The steps then run in the compiled library's ``zrh_march``
+    when one loads, else in ``_march_steps``, the numpy reference; a
+    compiled march that fails a check re-runs the reference, which raises
+    that check's error at its step.  The inflow and outflow sums follow.
     """
     n_steps = int(math.ceil(T / dt - 1e-12))
     lam = dt / du
-    drift = flux.drift
-    table = flux.thermo
     vals = np.empty((n_steps + 1, len(rho)))
     vals[0] = rho
     # fmin and fmax pass over a NaN in the data, as phi_of does; the first
     # step's finiteness check then catches it
-    lo0 = lo = float(np.fmin.reduce(rho))
-    hi0 = hi = float(np.fmax.reduce(rho))
+    lo, hi = float(np.fmin.reduce(rho)), float(np.fmax.reduce(rho))
+    ghosts = f_ins = None
     if left_ghost is not None:
-        ghosts = [float(left_ghost(n * dt)) for n in range(n_steps)]
-        f_ins = flux.F(np.array(ghosts))
-    fluxes = np.empty(len(rho) + 1)  # F at left edges of cells
+        ghosts = np.array([float(left_ghost(n * dt))
+                           for n in range(n_steps)])
+        f_ins = flux.F(ghosts)
+    lib = _ckernel.load()
+    if lib is None or _march_compiled(lib, vals, flux, lam, ghosts, f_ins,
+                                      lo, hi):
+        _march_steps(vals, flux, lam, ghosts, f_ins, lo, hi)
+    # the edge fluxes of each step, F of its first and last cells or its
+    # ghost, summed in step order
+    F_in = flux.F(vals[:-1, 0]) if left_ghost is None else f_ins
+    inflow = np.cumsum(np.concatenate([[0.0], dt * F_in]))
+    outflow = np.cumsum(np.concatenate([[0.0], dt * flux.F(vals[:-1, -1])]))
+    return vals, inflow, outflow
+
+
+def _march_compiled(lib, vals, flux, lam, ghosts, f_ins, lo, hi) -> int:
+    """``_march_steps`` in ``zrh_march``, on arrays it reads in place (the
+    table grid is ``phi_interp``'s); returns its status, 0 when every step
+    passed its checks."""
+    table = flux.thermo
+    n_cells = vals.shape[1]
+    scratch = np.empty(n_cells)
+    return lib.zrh_march(
+        vals.ctypes.data, n_cells, vals.shape[0] - 1,
+        table.densities.ctypes.data, table.zetas.ctypes.data,
+        len(table.zetas), flux.drift, lam,
+        None if ghosts is None else ghosts.ctypes.data,
+        None if f_ins is None else f_ins.ctypes.data,
+        lo, hi, *table.range_bounds(), scratch.ctypes.data)
+
+
+def _march_steps(vals, flux, lam, ghosts, f_ins, lo, hi):
+    """Fill ``vals[1:]`` from ``vals[0]``, the reference of the march.
+
+    Each step forms F(cur) from ``phi_interp`` into preallocated buffers,
+    and takes the new state's min and max once.  They drive, in this
+    order: the finiteness check (a NaN reaches both), the maximum
+    principle against the data and the ghosts so far, and ``check_range``
+    on the state the next step will march.  ``lo`` and ``hi`` are the
+    data's min and max, read past NaN.
+    """
+    drift = flux.drift
+    table = flux.thermo
+    lo0, hi0 = lo, hi
+    fluxes = np.empty(vals.shape[1] + 1)  # F at left edges of cells
     Fc = fluxes[1:]
-    diff = np.empty(len(rho))
-    for n in range(n_steps):
+    diff = np.empty(vals.shape[1])
+    for n in range(vals.shape[0] - 1):
         table.check_range(lo, hi)
         cur, new = vals[n], vals[n + 1]
         np.multiply(table.phi_interp(cur), drift, out=Fc)
-        if left_ghost is None:
+        if ghosts is None:
             ghost = float(cur[0])  # zero-gradient: first cell unchanged
             fluxes[0] = Fc[0]
         else:
-            ghost = ghosts[n]
+            ghost = float(ghosts[n])
             fluxes[0] = f_ins[n]
         np.subtract(Fc, fluxes[:-1], out=diff)
         np.multiply(diff, lam, out=diff)
@@ -196,12 +238,6 @@ def _march(rho, flux, T, du, dt, left_ghost):
         hi0 = max(hi0, ghost)
         if lo < lo0 - 1e-12 or hi > hi0 + 1e-12:
             raise PdeError("maximum principle violated")
-    # the edge fluxes of each step, F of its first and last cells or its
-    # ghost, summed in step order
-    F_in = flux.F(vals[:-1, 0]) if left_ghost is None else f_ins
-    inflow = np.cumsum(np.concatenate([[0.0], dt * F_in]))
-    outflow = np.cumsum(np.concatenate([[0.0], dt * flux.F(vals[:-1, -1])]))
-    return vals, inflow, outflow
 
 
 def solve_whole_line(rho0: DensityProfile, flux: FluxModel, T: float,

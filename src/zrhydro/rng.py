@@ -43,11 +43,17 @@ class UniformBlock:
         self._buf = gen.random(FIRST_BLOCK)
         self._i = 0
 
+    def refill(self):
+        """Draw the next block, twice the size of the last up to
+        ``BLOCK``, and start reading it."""
+        self._n = min(2 * self._n, BLOCK)
+        self._buf = self._gen.random(self._n)
+        self._i = 0
+
     def next(self) -> float:
         i = self._i
         if i >= self._n:
-            self._n = min(2 * self._n, BLOCK)
-            self._buf = self._gen.random(self._n)
+            self.refill()
             i = 0
         self._i = i + 1
         return self._buf[i]

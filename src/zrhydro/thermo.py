@@ -14,6 +14,11 @@ bit.  Divergence is decided from the radius of convergence: for
 non-decreasing g it is zeta* = lim g(k) = ``rate.sup_g`` (infinite for
 rates that keep growing), so a series diverges exactly when
 zeta >= zeta*; a sum too large for a double is reported the same way.
+
+R(zeta) and the bisection of Phi run in the compiled library when one
+loads (``_ckernel``), a fugacity or a density at a time, with the same
+operations in the same order; the numpy code is the reference, and
+raises every error.
 """
 from __future__ import annotations
 
@@ -22,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _ckernel
 from .rates import RateFunction
 
 #: stop the series when term / partial_sum drops below this
@@ -89,14 +95,19 @@ def _grow(zetas: np.ndarray, step, what: str):
         n *= 4
 
 
-def _series(rate: RateFunction, zetas: np.ndarray, weighted: bool):
-    """Z and (if ``weighted``) sum_k k zeta^k / g(k)! of a 1-d array."""
+def _check_fugacities(rate: RateFunction, zetas: np.ndarray):
+    """Raise unless every fugacity lies in [0, zeta*)."""
     if np.any(zetas < 0):
         raise ValueError("fugacity must be non-negative")
     beyond = zetas >= rate.sup_g
     if np.any(beyond):
         raise DivergenceError(f"series for zeta={zetas[beyond][0]:g} does "
                               f"not converge (zeta* = {rate.sup_g:g})")
+
+
+def _series(rate: RateFunction, zetas: np.ndarray, weighted: bool):
+    """Z and (if ``weighted``) sum_k k zeta^k / g(k)! of a 1-d array."""
+    _check_fugacities(rate, zetas)
     sums = [np.empty(len(zetas)) for _ in range(1 + weighted)]
 
     def step(idx, n):
@@ -134,7 +145,17 @@ def partition_function(rate: RateFunction, zeta):
 def mean_density(rate: RateFunction, zeta):
     """R(zeta), the mean occupation under the fugacity-zeta marginal."""
     z = np.asarray(zeta, dtype=float)
-    Z, S = _series(rate, z.ravel(), weighted=True)
+    flat = z.ravel()
+    lib = _ckernel.load()
+    if lib is not None:
+        _check_fugacities(rate, flat)
+        out = np.empty(flat.size)
+        if not lib.zrh_density(flat.ctypes.data, flat.size,
+                               _g_table(rate).ctypes.data, SERIES_TOL,
+                               TERM_BUDGET, out.ctypes.data):
+            return _like(out, z)
+    # the reference, which raises the error a failed compiled series met
+    Z, S = _series(rate, flat, weighted=True)
     return _like(S / Z, z)
 
 
@@ -209,7 +230,10 @@ class ThermoTable:
     def phi(self, rho):
         """Phi(rho): the fugacity zeta with R(zeta) = rho.
 
-        Every density runs its own bisection; they advance in lockstep.
+        Every density runs its own bisection on [0, zetas[-1]].  In the
+        compiled library each runs to its end in turn; the numpy
+        reference advances them in lockstep, which gives the same bits,
+        since no bisection reads another.
         """
         r = np.asarray(rho, dtype=float)
         flat = r.ravel()
@@ -218,8 +242,16 @@ class ThermoTable:
             raise DensityRangeError(
                 f"density {flat[bad][0]:g} outside tabulated range "
                 f"[0, {self.covered_rho_max:g}]")
+        top = float(self.zetas[-1])
+        lib = _ckernel.load()
+        if lib is not None:
+            out = np.empty(flat.size)
+            if not lib.zrh_phi(flat.ctypes.data, flat.size, top,
+                               _g_table(self.rate).ctypes.data, SERIES_TOL,
+                               TERM_BUDGET, PHI_TOL, out.ctypes.data):
+                return _like(out, r)
         lo = np.zeros(flat.size)
-        hi = np.full(flat.size, float(self.zetas[-1]))
+        hi = np.full(flat.size, top)
         open_ = (flat != 0.0) & (hi - lo > PHI_TOL)
         while np.any(open_):
             i = np.flatnonzero(open_)
@@ -236,12 +268,17 @@ class ThermoTable:
 
     # -- vectorized interface (interpolation on the tabulated grid) -----
 
+    def range_bounds(self) -> tuple[float, float]:
+        """The lowest and highest density in ``phi_of``'s range."""
+        return -1e-12, self.covered_rho_max * (1 + 1e-9)
+
     def check_range(self, lo: float, hi: float):
         """Raise unless densities from lo to hi are in ``phi_of``'s range.
 
         A NaN bound passes; interpolation maps a NaN density to NaN.
         """
-        if lo < -1e-12 or hi > self.covered_rho_max * (1 + 1e-9):
+        low, high = self.range_bounds()
+        if lo < low or hi > high:
             raise DensityRangeError("density outside tabulated range")
 
     def phi_interp(self, rho):

@@ -1,9 +1,11 @@
-"""The compiled event kernel against the Python reference loop.
+"""The compiled library against its Python references.
 
-Both loops must leave every engine in the same state bit for bit:
+Both event loops must leave every engine in the same state bit for bit:
 occupations, counters, event count, clock, running total rate, and how
 far the random stream was read.  The runs here are long enough to cross
-two uniform-buffer refills and several audits.
+two uniform-buffer refills and several audits.  The sum-tree build and
+the march's interpolation must match numpy's to the bit; the march and
+the series are checked in ``test_pde`` and ``test_thermo``.
 """
 import os
 import shutil
@@ -19,7 +21,7 @@ from zrhydro import _ckernel, coupling, engine
 from zrhydro.coupling import (BasicCouplingEngine, LabeledCouplingEngine,
                               PairConfiguration, SecondClassEngine)
 from zrhydro.engine import (CallbackObserver, Configuration, EventEngine,
-                            ModelParams)
+                            ModelParams, SumTree)
 from zrhydro.rates import rate_from_spec
 from zrhydro.rng import replica_stream
 
@@ -194,3 +196,68 @@ def test_build_is_cached_by_source_and_flags(fresh_cache, monkeypatch):
     monkeypatch.setattr(_ckernel, "FLAGS", _ckernel.FLAGS + ("-g",))
     with pytest.warns(RuntimeWarning, match="no C compiler"):
         assert _engine().kernel == "python"
+
+
+def test_kernel_compiles_without_warnings(tmp_path):
+    cc = shutil.which(_ckernel.COMPILER)
+    if cc is None:
+        pytest.skip("no C compiler")
+    proc = subprocess.run(
+        [cc, *_ckernel.FLAGS, "-Wall", "-Wextra", "-Werror",
+         "-o", str(tmp_path / "kernel.so"), str(_ckernel.SOURCE),
+         *_ckernel.LIBS], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_refills_between_events_stay_in_the_kernel(c_kernel, monkeypatch):
+    # a fresh run reads whole events from each block, so only observer
+    # times, audits and the end hand events back to Python
+    monkeypatch.setattr(engine, "AUDIT_EVERY", 10_000)
+    occ = np.random.default_rng(3).poisson(3.0, 121)
+    eng = EventEngine(Configuration(-60, occ, closed=True),
+                      ModelParams(0.75, 0.2, 0.0, 60),
+                      rate_from_spec("linear"), replica_stream(4, 0))
+    calls = []
+    stretch = eng._stretch
+    eng._stretch = lambda *a: calls.append(1) or stretch(*a)
+    times = (0.3, 1.1, 1.9)
+    eng.run(2.5, observers=[CallbackObserver(times, lambda t, e: None)])
+    assert eng.n_events > 2 * REFILL_EVENTS
+    assert len(calls) <= len(times) + eng.n_events // 10_000 + 1
+
+
+def test_tree_build_is_the_accumulate(c_kernel):
+    # node j sums values[j - lowbit(j):j] from the left, as numpy's
+    # accumulate does; zeros and spread magnitudes make the order show
+    gen = np.random.default_rng(8)
+    for n in range(1, 1026):
+        v = gen.lognormal(0.0, 3.0, n) * (gen.random(n) < 0.8)
+        built = SumTree(v)
+        ref = SumTree(v.tolist())
+        assert isinstance(built.tree, np.ndarray)
+        assert [x.hex() for x in built.tree.tolist()] == [
+            x.hex() for x in ref.tree]
+        assert built.values.tolist() == ref.values
+
+
+#: xp strictly increasing, fp with a jump to +-huge (an infinite slope)
+#: and an equal pair of infinities (a NaN slope)
+INTERP_XP = np.array([-1.0, 0.0, 0.5, 1.25, 2.0, 3.0, 4.5, 5.0, 6.0])
+INTERP_FP = np.array([2.0, 0.0, 1.0, 1.7e308, -1.7e308, 3.0, np.inf,
+                      np.inf, 7.0])
+
+
+def test_interp_is_numpys(c_kernel):
+    lib = _ckernel.load()
+    mids = 0.5 * (INTERP_XP[1:] + INTERP_XP[:-1])
+    x = np.concatenate([INTERP_XP, mids, [-5.0, -1.0 - 1e-16, 6.0, 7.5],
+                        [np.nan, np.inf, -np.inf, -0.0],
+                        np.random.default_rng(1).uniform(-2.0, 7.0, 200)])
+    for fp in (INTERP_FP, np.linspace(0.0, 3.0, len(INTERP_XP)) ** 2):
+        with np.errstate(all="ignore"):
+            want = np.interp(x, INTERP_XP, fp)
+        got = np.empty_like(x)
+        lib.zrh_interp(x.ctypes.data, len(x), INTERP_XP.ctypes.data,
+                       fp.ctypes.data, len(INTERP_XP), got.ctypes.data)
+        assert [v.hex() for v in got.tolist()] == [
+            v.hex() for v in want.tolist()]

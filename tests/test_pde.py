@@ -334,10 +334,21 @@ def _march_args(rate, setup, du=0.02, T=0.8):
 
 
 class TestMarchReference:
+    """``pde._march`` on the compiled march; ``TestMarchReferenceNumpy``
+    runs the same cases on the numpy steps."""
+
+    @pytest.fixture(autouse=True)
+    def path(self, c_kernel):
+        return c_kernel
+
     @pytest.mark.parametrize("rate", MARCH_RATES)
     @pytest.mark.parametrize("setup", sorted(MARCH_SETUPS))
-    def test_bit_identical_to_the_per_step_march(self, rate, setup):
+    def test_bit_identical_to_the_per_step_march(self, rate, setup, path,
+                                                 monkeypatch):
         args = _march_args(rate, setup)
+        if path == "c":
+            # the compiled march finishes without the reference
+            monkeypatch.setattr(pde, "_march_steps", None)
         got = pde._march(*args)
         ref = _reference_march(*args)
         assert got[0].shape == ref[0].shape
@@ -402,3 +413,9 @@ class TestMarchReference:
             with pytest.raises(kind, match=msg) as err:
                 march(rho, flux, T, du, dt, ghost)
             assert type(err.value) is kind
+
+
+class TestMarchReferenceNumpy(TestMarchReference):
+    @pytest.fixture(autouse=True)
+    def path(self, python_loop):
+        return python_loop

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from zrhydro import _ckernel, thermo
 from zrhydro.rates import (RateError, RateFunction, indicator_rate,
                            linear_rate, rate_from_spec)
 from zrhydro.thermo import (PHI_TOL, SERIES_TOL, TERM_BUDGET,
@@ -304,3 +305,65 @@ class TestSeriesCore:
             assert row.tolist() == np.searchsorted(
                 cdf, b.random(3), side="right").tolist()
         assert a.random() == b.random()
+
+
+# -- the compiled series against the numpy reference ----------------------
+
+#: the largest fugacity each rate's series is checked at: the linear Z
+#: stays finite to 700, and the others stop just short of an error
+SERIES_TOPS = {"linear": 700.0, "indicator": 0.99,
+               "table:0,1,1.5,1.8;slope=0.25": 180.0, "bounded:3": 2.99}
+
+
+def _hexes(a):
+    return [float(x).hex() for x in np.ravel(a)]
+
+
+def _grid(top, n, seed):
+    """Both ends, an even grid and random points of [0, top]."""
+    rand = np.random.default_rng(seed).uniform(0.0, top, n)
+    return np.concatenate([[0.0, top], np.linspace(0.0, top, n), rand])
+
+
+class TestCompiledSeries:
+    """R and Phi on each path (``kernel``) bit for bit against the numpy
+    reference."""
+
+    @pytest.mark.parametrize("spec", sorted(SERIES_TOPS))
+    def test_mean_density_is_the_series_ratio(self, spec, kernel,
+                                              monkeypatch):
+        rate = rate_from_spec(spec)
+        zs = _grid(SERIES_TOPS[spec], 300, 2)
+        Z, S = thermo._series(rate, zs, weighted=True)
+        with monkeypatch.context() as m:
+            if kernel == "c":
+                # the compiled series finishes without the reference
+                m.setattr(thermo, "_series", None)
+            got = mean_density(rate, zs)
+            one = mean_density(rate, zs[1])
+        assert _hexes(got) == _hexes(S / Z)
+        assert one.hex() == float(S[1] / Z[1]).hex()
+
+    @pytest.mark.parametrize("spec", sorted(SERIES_TOPS))
+    def test_phi_is_the_lockstep_bisection(self, spec, kernel, monkeypatch):
+        table = ThermoTable(rate_from_spec(spec), 4.0)
+        rhos = _grid(table.covered_rho_max, 400, 5)
+        with monkeypatch.context() as m:
+            if kernel == "c":
+                # the compiled bisection finishes without the lockstep one
+                m.setattr(thermo, "mean_density", None)
+            got = table.phi(rhos)
+        monkeypatch.setattr(_ckernel, "load", lambda: None)
+        assert _hexes(got) == _hexes(table.phi(rhos))
+
+    @pytest.mark.parametrize("spec, zeta, error", [
+        # a known fault: Z(0.999) = 1000, but the series needs ~20,000 terms
+        ("indicator", 0.999, "exhausted term budget"),
+        ("table:0,1,1.5,1.8;slope=0.25", 183.0, "overflows a double")])
+    def test_errors_are_the_reference_errors(self, spec, zeta, error,
+                                             kernel):
+        rate = rate_from_spec(spec)
+        for z in (zeta, np.array([0.5, zeta, 0.25])):
+            with pytest.raises(DivergenceError,
+                               match=f"zeta={zeta:g} {error}"):
+                mean_density(rate, z)
