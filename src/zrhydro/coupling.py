@@ -1,7 +1,6 @@
-"""Coupled dynamics: second-class particles, two-copy basic coupling and
-the labeled coupling for strong destruction, plus the statistics they
-support (conversion counts, ordering defects, the microscopic entropy
-functional, one-block statistic and Young-measure evaluations).
+"""Coupled dynamics: the two-copy basic coupling, second-class particles
+and the labeled coupling for strong destruction, with the counts each one
+reports (order violations, conversions, the surviving discrepancy).
 
 Each coupled engine runs on ``engine.GillespieLoop`` and supplies only its
 state, its per-site total rates and its per-event rule, which splits one
@@ -18,11 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import (LEAK_FRACTION, Configuration, GillespieLoop,
-                     ModelParams, block_average)
-from .profiles import DensityProfile
+from .engine import LEAK_FRACTION, Configuration, GillespieLoop, ModelParams
 from .rates import RateFunction
-from .thermo import ThermoTable
 
 
 @dataclass
@@ -36,15 +32,6 @@ class PairConfiguration:
             raise ValueError("coupled copies must share a window")
         if self.omega.closed != self.varpi.closed:
             raise ValueError("coupled copies must share the boundary mode")
-
-
-def ordering_defect(omega: Configuration, varpi: Configuration,
-                    x: int, y: int) -> int:
-    """Indicator of an ordering defect between sites x and y."""
-    ix, iy = x - omega.x_min, y - omega.x_min
-    a1, b1 = omega.occ[ix], varpi.occ[ix]
-    a2, b2 = omega.occ[iy], varpi.occ[iy]
-    return int((a1 < b1 and a2 > b2) or (a1 > b1 and a2 < b2))
 
 
 class BasicCouplingEngine(GillespieLoop):
@@ -164,16 +151,6 @@ class BasicCouplingEngine(GillespieLoop):
             return total
 
         return step
-
-
-def run_basic_coupling(pair: PairConfiguration, params: ModelParams,
-                       rate: RateFunction, t_end: float,
-                       rng: np.random.Generator, observers=(),
-                       **kwargs) -> BasicCouplingEngine:
-    """Run the two-copy coupled dynamics; returns the engine for stats."""
-    eng = BasicCouplingEngine(pair, params, rate, rng, **kwargs)
-    eng.run(t_end, observers=observers)
-    return eng
 
 
 # -- second-class particles ---------------------------------------------
@@ -302,15 +279,6 @@ class SecondClassEngine(GillespieLoop):
         return step
 
 
-def run_second_class(initial: Configuration, params: ModelParams,
-                     rate: RateFunction, t_end: float,
-                     rng: np.random.Generator, observers=(),
-                     **kwargs) -> SecondClassState:
-    eng = SecondClassEngine(initial, params, rate, rng, **kwargs)
-    eng.run(t_end, observers=observers)
-    return eng.state()
-
-
 # -- labeled coupling for strong destruction ----------------------------
 
 
@@ -423,77 +391,3 @@ def run_labeled_coupling(initial: Configuration, params: ModelParams,
         raise ValueError("labeled coupling targets the beta >= 1 regime")
     eng = LabeledCouplingEngine(initial, params, rate, rng, **kwargs)
     return eng.run(t_end)
-
-
-# -- statistics ----------------------------------------------------------
-
-
-def micro_entropy_functional(snapshots, x_min: int, H, ell: int,
-                             thermo: ThermoTable,
-                             params: ModelParams) -> float:
-    """Discretized microscopic entropy functional along a pair trajectory.
-
-    ``snapshots`` is a list of (t, omega_occ, varpi_occ) on the common
-    window starting at lattice site ``x_min``.  ``H`` is a smooth test
-    function exposing ``dt(t, u)`` and ``du(t, u)``; if it also exposes
-    a ``u_support`` interval, that interval must lie inside the window.
-    Per-snapshot lattice sums
-
-        N^{-1} sum_x { dtH |w^l_x - v^l_x|
-                       + (2p-1) duH |Phi(w^l_x) - Phi(v^l_x)| }
-
-    are combined with the trapezoid rule in time.
-    """
-    if len(snapshots) < 2:
-        return 0.0
-    N = params.N
-    drift = params.drift
-    n = len(snapshots[0][1])
-    us = (np.arange(n) + x_min) / N
-    sup = getattr(H, "u_support", None)
-    if sup is not None and (sup[0] < us[0] or sup[1] > us[-1]):
-        raise ValueError("test-function support exceeds the lattice window")
-    rho_cap = thermo.covered_rho_max
-    times = []
-    vals = []
-    for t, occ_a, occ_b in snapshots:
-        a = block_average(occ_a, ell)
-        b = block_average(occ_b, ell)
-        pa = thermo.phi_of(np.minimum(a, rho_cap))
-        pb = thermo.phi_of(np.minimum(b, rho_cap))
-        s = (np.sum(H.dt(t, us) * np.abs(a - b))
-             + drift * np.sum(H.du(t, us) * np.abs(pa - pb))) / N
-        times.append(t)
-        vals.append(s)
-    return float(np.trapezoid(vals, times))
-
-
-def one_block_statistic(config: Configuration, ell: int,
-                        thermo: ThermoTable,
-                        params: ModelParams) -> DensityProfile:
-    """Per-site |block average of g - Phi(block average of occupations)|."""
-    if ell < 1:
-        raise ValueError("block halfwidth must be >= 1")
-    occ = config.occ
-    gvals = thermo.rate.table(int(occ.max(initial=0)) + 1)[occ]
-    kernel = np.full(2 * ell + 1, 1.0 / (2 * ell + 1))
-    g_block = np.convolve(gvals, kernel, mode="same")
-    occ_block = block_average(occ, ell)
-    v = np.abs(g_block - thermo.phi_of(np.minimum(occ_block,
-                                                  thermo.covered_rho_max)))
-    return DensityProfile(u_min=config.x_min / params.N, du=1.0 / params.N,
-                          values=v)
-
-
-def young_measure_eval(config: Configuration, params: ModelParams,
-                       ell: int, G) -> float:
-    """N^{-1} sum_{x > ell} G(x/N, block average at x)."""
-    if ell < 1:
-        raise ValueError("block halfwidth must be >= 1")
-    occ_block = block_average(config.occ, ell)
-    xs = np.arange(config.x_min, config.x_min + len(config.occ))
-    mask = xs > ell
-    total = 0.0
-    for x, lam in zip(xs[mask], occ_block[mask]):
-        total += G(x / params.N, lam)
-    return total / params.N

@@ -120,8 +120,8 @@ class ComparisonReport:
 
 
 def _run_replica(args):
-    """One replica: (replica_index, [(t, DensityProfile), ...],
-    the engine's TrajectoryRecord)."""
+    """One replica: ([(t, DensityProfile), ...], the engine's
+    TrajectoryRecord)."""
     spec, N, rep, rho0, rate = args
     params = spec.model_params(N)
     t_max = max(spec.times)
@@ -135,24 +135,22 @@ def _run_replica(args):
         c = cfg.copy()
         c.occ = occ
         out.append((t, empirical_density(c, params, spec.ell)))
-    return rep, out, rec
+    return out, rec
 
 
 def run_replicas(spec: ExperimentSpec, N: int, rho0: DensityProfile,
                  rate):
     """All replicas for one N, from the parsed ``spec.rho0`` and
     ``spec.rate``: a ``(profiles, record)`` pair per replica, ordered by
-    replica index."""
+    replica index, as ``Pool.map`` and the serial loop both keep job
+    order."""
     jobs = [(spec, N, rep, rho0, rate) for rep in range(spec.replicas)]
     workers = worker_count()
     if workers > 1 and len(jobs) > 1:
         import multiprocessing as mp
         with mp.get_context("spawn").Pool(workers) as pool:
-            results = pool.map(_run_replica, jobs)
-    else:
-        results = [_run_replica(j) for j in jobs]
-    results.sort(key=lambda r: r[0])
-    return [(profiles, rec) for _, profiles, rec in results]
+            return pool.map(_run_replica, jobs)
+    return [_run_replica(j) for j in jobs]
 
 
 def _target_callable(spec: ExperimentSpec, params: ModelParams, t: float,

@@ -70,12 +70,6 @@ class OdeCurve:
     leaked: float
     params: ModelParams
 
-    def at_site(self, x: int) -> np.ndarray:
-        return self.values[:, x - self.x_min]
-
-    def final(self) -> np.ndarray:
-        return self.values[-1]
-
     def final_profile(self) -> DensityProfile:
         return DensityProfile(self.x_min / self.params.N,
                               1.0 / self.params.N, self.values[-1])

@@ -97,8 +97,8 @@ def _grow(zetas: np.ndarray, step, what: str):
 
 def _check_fugacities(rate: RateFunction, zetas: np.ndarray):
     """Raise unless every fugacity lies in [0, zeta*)."""
-    if np.any(zetas < 0):
-        raise ValueError("fugacity must be non-negative")
+    if not np.all(zetas >= 0):
+        raise ValueError("fugacity must be non-negative and not NaN")
     beyond = zetas >= rate.sup_g
     if np.any(beyond):
         raise DivergenceError(f"series for zeta={zetas[beyond][0]:g} does "
@@ -237,7 +237,7 @@ class ThermoTable:
         """
         r = np.asarray(rho, dtype=float)
         flat = r.ravel()
-        bad = (flat < 0) | (flat > self.covered_rho_max * (1 + 1e-12))
+        bad = ~((flat >= 0) & (flat <= self.covered_rho_max * (1 + 1e-12)))
         if np.any(bad):
             raise DensityRangeError(
                 f"density {flat[bad][0]:g} outside tabulated range "

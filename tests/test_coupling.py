@@ -1,40 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zrhydro.coupling import (LabeledCouplingEngine, PairConfiguration,
-                              SecondClassEngine, micro_entropy_functional,
-                              one_block_statistic, ordering_defect,
-                              run_basic_coupling, run_labeled_coupling,
-                              run_second_class, second_class_left_mass,
-                              young_measure_eval)
+from zrhydro import _ckernel
+from zrhydro.coupling import (BasicCouplingEngine, LabeledCouplingEngine,
+                              PairConfiguration, SecondClassEngine,
+                              run_labeled_coupling, second_class_left_mass)
 from zrhydro.engine import (Configuration, EventEngine, ModelParams,
                             build_initial)
 from zrhydro.profiles import DensityProfile
-from zrhydro.rates import indicator_rate, linear_rate
+from zrhydro.rates import indicator_rate, linear_rate, rate_from_spec
 from zrhydro.rng import replica_stream
-from zrhydro.testfuncs import TestFunction2D
-from zrhydro.thermo import ThermoTable
 
 
 def config(occ, x_min=0, closed=False):
     return Configuration(x_min, np.array(occ, dtype=np.int64), closed)
-
-
-class TestOrderingDefect:
-    def test_equal_copies(self):
-        a = config([1, 2, 3])
-        b = config([1, 2, 3])
-        assert ordering_defect(a, b, 0, 2) == 0
-
-    def test_opposite_signs(self):
-        a = config([0, 0, 2])
-        b = config([1, 0, 1])
-        assert ordering_defect(a, b, 0, 2) == 1
-
-    def test_same_sign(self):
-        a = config([0, 0, 0])
-        b = config([1, 0, 1])
-        assert ordering_defect(a, b, 0, 2) == 0
 
 
 class TestBasicCoupling:
@@ -44,8 +25,8 @@ class TestBasicCoupling:
         occ = rng.poisson(1.0, 41)
         pair = PairConfiguration(config(occ, -20, closed=True),
                                  config(occ, -20, closed=True))
-        eng = run_basic_coupling(pair, params, indicator_rate(),
-                                 0.5, replica_stream(3, 1))
+        BasicCouplingEngine(pair, params, indicator_rate(),
+                            replica_stream(3, 1)).run(0.5)
         assert np.array_equal(pair.omega.occ, pair.varpi.occ)
 
     def test_marginal_byte_identical(self):
@@ -59,8 +40,8 @@ class TestBasicCoupling:
                           replica_stream(6, 0))
         eng.run(0.4)
         pair = PairConfiguration(c1.copy(), c1.copy())
-        run_basic_coupling(pair, params, indicator_rate(),
-                           0.4, replica_stream(6, 0))
+        BasicCouplingEngine(pair, params, indicator_rate(),
+                            replica_stream(6, 0)).run(0.4)
         assert np.array_equal(single.occ, pair.omega.occ)
         assert np.array_equal(single.occ, pair.varpi.occ)
         assert single.destroyed_count == pair.omega.destroyed_count
@@ -72,10 +53,57 @@ class TestBasicCoupling:
         hi = lo + rng.poisson(0.4, 61)
         pair = PairConfiguration(config(lo, -30, closed=True),
                                  config(hi, -30, closed=True))
-        eng = run_basic_coupling(pair, params, indicator_rate(), 1.0,
-                                 replica_stream(8, 1), order_guard=True)
+        eng = BasicCouplingEngine(pair, params, indicator_rate(),
+                                  replica_stream(8, 1), order_guard=True)
+        eng.run(1.0)
         assert eng.order_violations == 0
         assert np.all(pair.omega.occ <= pair.varpi.occ)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_order_preserved_for_any_attractive_rate(self, data):
+        # omega <= varpi at every site stays so, on both loops, for any
+        # non-decreasing rate, drift, destruction regime and window
+        n = data.draw(st.integers(1, 8))
+        lo = data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+        extra = data.draw(st.lists(st.integers(0, 3), min_size=n,
+                                   max_size=n))
+        x_min = data.draw(st.integers(-8, 1))
+        closed = data.draw(st.booleans())
+        steps = data.draw(st.lists(st.floats(0.0, 2.0), min_size=1,
+                                   max_size=4))
+        slope = data.draw(st.sampled_from([0.0, 0.5, 1.0]))
+        g = np.cumsum([max(steps[0], 0.1), *steps[1:]])
+        spec = "table:0," + ",".join(map(repr, g.tolist()))
+        rate = data.draw(st.sampled_from([
+            rate_from_spec(f"{spec};slope={slope}"), linear_rate(),
+            indicator_rate()]))
+        params = ModelParams(data.draw(st.floats(0.5, 1.0, exclude_min=True)),
+                             data.draw(st.floats(0.0, 2.0)),
+                             data.draw(st.sampled_from([-1.0, 0.0, 1.0])),
+                             10)
+        seed = data.draw(st.integers(0, 2**16))
+
+        def run():
+            pair = PairConfiguration(config(lo, x_min, closed),
+                                     config(np.add(lo, extra), x_min, closed))
+            eng = BasicCouplingEngine(pair, params, rate,
+                                      replica_stream(seed, 0),
+                                      leak_fraction=1.0, order_guard=True)
+            eng.run(1.0)
+            assert eng.order_violations == 0
+            assert np.all(pair.omega.occ <= pair.varpi.occ)
+            return eng.kernel, pair.omega.occ, pair.varpi.occ
+
+        compiled = run()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_ckernel, "load", lambda: None)
+            python = run()
+        assert python[0] == "python"
+        if compiled[0] == "c":
+            # the two loops give one trajectory
+            assert all(np.array_equal(c, p)
+                       for c, p in zip(compiled[1:], python[1:]))
 
     def test_mismatched_windows_rejected(self):
         with pytest.raises(ValueError):
@@ -86,8 +114,10 @@ class TestSecondClass:
     def test_alpha_zero_no_conversions(self):
         params = ModelParams(0.75, 0.0, 0.0, 40)
         cfg = config([1] * 41, -20, closed=True)
-        st = run_second_class(cfg, params, linear_rate(), 0.5,
-                              replica_stream(10, 0))
+        eng = SecondClassEngine(cfg, params, linear_rate(),
+                                replica_stream(10, 0))
+        eng.run(0.5)
+        st = eng.state()
         assert st.conversions == 0
         assert st.k_t == 0
 
@@ -95,15 +125,19 @@ class TestSecondClass:
         params = ModelParams(0.75, 1.0, 0.0, 40)
         cfg = config([2] * 41, -20, closed=True)
         mass0 = cfg.total_mass
-        st = run_second_class(cfg, params, indicator_rate(), 0.8,
-                              replica_stream(11, 0))
+        eng = SecondClassEngine(cfg, params, indicator_rate(),
+                                replica_stream(11, 0))
+        eng.run(0.8)
+        st = eng.state()
         assert int(st.omega.occ.sum() + st.zeta.occ.sum()) == mass0
 
     def test_k_t_counts_conversions(self):
         params = ModelParams(0.75, 1.0, 0.0, 40)
         cfg = config([2] * 41, -20, closed=True)
-        st = run_second_class(cfg, params, indicator_rate(), 0.5,
-                              replica_stream(12, 0))
+        eng = SecondClassEngine(cfg, params, indicator_rate(),
+                                replica_stream(12, 0))
+        eng.run(0.5)
+        st = eng.state()
         assert st.k_t == st.conversions
 
     def test_exits_counted_by_edge(self):
@@ -156,78 +190,3 @@ class TestLabeledCoupling:
                                     replica_stream(15, 1))
         eng.run(0.3)
         assert all(e <= o for e, o in zip(eng._eta, eng._omega))
-
-
-class TestStatistics:
-    def test_entropy_functional_identical_copies(self):
-        params = ModelParams(0.75, 1.0, 0.0, 50)
-        thermo = ThermoTable(linear_rate(), rho_max=6.0)
-        H = TestFunction2D(0.5, 0.4, 0.0, 0.5)
-        occ = np.random.default_rng(0).poisson(1.0, 101)
-        snaps = [(t, occ, occ) for t in (0.1, 0.2, 0.3)]
-        val = micro_entropy_functional(snaps, -50, H, 5, thermo, params)
-        assert val == 0.0
-
-    def test_entropy_functional_zero_test_function(self):
-        params = ModelParams(0.75, 1.0, 0.0, 50)
-        thermo = ThermoTable(linear_rate(), rho_max=6.0)
-        H = TestFunction2D(10.0, 0.1, 0.0, 0.5)  # support after t_end
-        rng = np.random.default_rng(1)
-        snaps = [(t, rng.poisson(1.0, 101), rng.poisson(0.5, 101))
-                 for t in (0.1, 0.2)]
-        val = micro_entropy_functional(snaps, -50, H, 5, thermo, params)
-        assert val == 0.0
-
-    def test_entropy_support_check(self):
-        params = ModelParams(0.75, 1.0, 0.0, 50)
-        thermo = ThermoTable(linear_rate(), rho_max=6.0)
-        H = TestFunction2D(0.5, 0.4, 0.0, 50.0)  # wider than the window
-        occ = np.ones(101, dtype=np.int64)
-        snaps = [(0.1, occ, occ), (0.2, occ, occ)]
-        with pytest.raises(ValueError):
-            micro_entropy_functional(snaps, -50, H, 5, thermo, params)
-
-    def test_one_block_constant_linear(self):
-        params = ModelParams(0.75, 0.0, 0.0, 50)
-        thermo = ThermoTable(linear_rate(), rho_max=6.0)
-        cfg = config([3] * 101, -50)
-        prof = one_block_statistic(cfg, 5, thermo, params)
-        assert np.allclose(prof.values[10:-10], 0.0, atol=1e-6)
-
-    def test_one_block_empty(self):
-        params = ModelParams(0.75, 0.0, 0.0, 50)
-        thermo = ThermoTable(linear_rate(), rho_max=6.0)
-        cfg = config([0] * 41, -20)
-        prof = one_block_statistic(cfg, 3, thermo, params)
-        assert np.allclose(prof.values, 0.0)
-
-    def test_one_block_lln_trend(self):
-        # spatial mean of the statistic decreases with the block size;
-        # needs a nonlinear rate (for g(k) = k it vanishes identically)
-        params = ModelParams(0.75, 0.0, 0.0, 100)
-        thermo = ThermoTable(indicator_rate(), rho_max=8.0)
-        rng = replica_stream(20, 0)
-        occ = thermo.sample_marginal(1.0, rng, 501)
-        cfg = Configuration(-250, occ)
-        means = []
-        for ell in (5, 20, 80):
-            prof = one_block_statistic(cfg, ell, thermo, params)
-            interior = prof.values[160:-160]
-            means.append(interior.mean())
-        assert means[0] > means[1] > means[2]
-
-    def test_young_measure_literal(self):
-        params = ModelParams(0.75, 0.0, 0.0, 10)
-        cfg = config([1] * 21, -10)
-        ell = 2
-
-        def G(u, lam):
-            return lam if 0.0 <= u <= 1.0 else 0.0
-
-        from zrhydro.engine import block_average
-        blocks = block_average(cfg.occ, ell)
-        xs = np.arange(-10, 11)
-        expected = sum(G(x / 10, blocks[i]) for i, x in enumerate(xs)
-                       if x > ell) / 10
-        assert young_measure_eval(cfg, params, ell, G) == pytest.approx(
-            expected)

@@ -1,4 +1,6 @@
-"""Every name a package module, demo or test imports is used in it.
+"""Every name a package module, demo, perfbench module or test imports is
+used in it, and every public definition of the package is used outside the
+unit tests.
 
 ``__init__.py`` is left out: it imports names to re-export them.
 """
@@ -11,6 +13,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "zrhydro"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 SCRIPTS = sorted([*(ROOT / "demos").glob("*.py"),
+                  *(ROOT / "perfbench").glob("*.py"),
                   *(ROOT / "tests").glob("*.py")])
 
 
@@ -56,12 +59,10 @@ UNREFERENCED_OK = {
     "left_trace_from_grid":
         "per-call reference for the trace column in test_pde",
     "partition_function": "package API, re-exported in zrhydro.__all__",
-    "micro_entropy_functional": "pending deletion, ROADMAP item 10",
-    "one_block_statistic": "pending deletion, ROADMAP item 10",
-    "young_measure_eval": "pending deletion, ROADMAP item 10",
-    "run_basic_coupling": "pending deletion, ROADMAP item 10",
-    "run_second_class": "pending deletion, ROADMAP item 10",
-    "ordering_defect": "pending deletion, ROADMAP item 10",
+    "marginal_pmf": "reference the unit tests compare against",
+    "sample_marginal": "reference the unit tests compare against",
+    "constant": "DensityProfile constructor of the unit tests' fixtures",
+    "integral": "measure of the resample mass-conservation test",
 }
 
 
@@ -79,18 +80,27 @@ def referenced_names(source: str) -> set[str]:
 
 
 def public_definitions(source: str) -> list[str]:
-    """Top-level functions and classes whose names do not start with _."""
-    return [node.name for node in ast.parse(source).body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")]
+    """Top-level functions and classes, and the methods of those classes,
+    whose names do not start with _."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            names.extend(f.name for f in node.body
+                         if isinstance(f, ast.FunctionDef))
+    return [name for name in names if not name.startswith("_")]
 
 
 def test_finds_unreferenced_definitions():
     source = ("import m\ndef used(): pass\ndef unused(): return used()\n"
-              "class Kept: pass\nclass Gone: pass\n_private = m.Kept\n")
+              "class Kept: pass\nclass Gone: pass\n_private = m.Kept\n"
+              "class Both:\n    def called(self): pass\n"
+              "    def uncalled(self): pass\n    def _hidden(self): pass\n"
+              "Both().called()\n")
     refs = referenced_names(source)
     assert [n for n in public_definitions(source) if n not in refs] == [
-        "unused", "Gone"]
+        "unused", "Gone", "uncalled"]
 
 
 def test_every_public_definition_is_referenced():

@@ -62,14 +62,14 @@ class TestDensityOde:
     def test_no_dynamics_from_empty(self):
         curve = integrate_density_ode(lambda u: np.zeros_like(u),
                                       lin().params, (-30, 30), 0.2)
-        assert np.allclose(curve.final(), 0.0)
+        assert np.allclose(curve.values[-1], 0.0)
         assert curve.killed == 0.0
 
     def test_exact_conservation(self):
         params = ModelParams(0.75, 1.0, 0.0, 50)
         rho0 = DensityProfile.from_spec("-0.5:0:1", du=0.01)
         curve = integrate_density_ode(rho0, params, (-80, 60), 0.5)
-        total = curve.final().sum() + (curve.killed + curve.leaked) * 1.0
+        total = curve.values[-1].sum() + (curve.killed + curve.leaked) * 1.0
         assert total == pytest.approx(rho0(np.arange(-80, 61) / 50).sum(),
                                       abs=1e-9)
 
@@ -83,7 +83,7 @@ class TestDensityOde:
                                       0.5, xs)
         # away from the jump at 0 and the attenuation front at 0.25
         mask = (np.abs(xs) > 0.05) & (np.abs(xs - 0.25) > 0.05)
-        assert np.max(np.abs(curve.final() - exact)[mask]) < 0.08
+        assert np.max(np.abs(curve.values[-1] - exact)[mask]) < 0.08
 
     def test_leak_guard(self):
         params = ModelParams(0.75, 0.0, 0.0, 50)
@@ -98,7 +98,8 @@ class TestDensityOde:
                                       times=[0.0, 0.2, 0.4])
         assert curve.values.shape[0] == 3
         # mass at the origin grows as the front passes
-        assert curve.at_site(5)[0] < curve.at_site(5)[1] < curve.at_site(5)[2]
+        site = curve.values[:, 5 - curve.x_min]
+        assert site[0] < site[1] < site[2]
 
 
 def _mollified_step(width=0.3):
@@ -131,7 +132,7 @@ class TestDualWalk:
         rng = replica_stream(3, 0)
         for x in (-5, 0, 8):
             est, se = dual_rw_estimate(x, 0.3, params, rho0, 400, rng)
-            assert abs(est - curve.final()[x + 90]) <= 3 * max(se, 1e-3)
+            assert abs(est - curve.values[-1][x + 90]) <= 3 * max(se, 1e-3)
 
 
 class TestKillingProbability:

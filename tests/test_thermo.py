@@ -356,6 +356,22 @@ class TestCompiledSeries:
         monkeypatch.setattr(_ckernel, "load", lambda: None)
         assert _hexes(got) == _hexes(table.phi(rhos))
 
+    def test_nan_density_is_out_of_range(self, lin, kernel, monkeypatch):
+        # the range check raises before either bisection starts
+        monkeypatch.setattr(thermo, "mean_density", None)
+        for rho in (math.nan, np.array([1.0, math.nan])):
+            with pytest.raises(DensityRangeError, match="density nan"):
+                lin.phi(rho)
+
+    @pytest.mark.parametrize("rate", [linear_rate(), indicator_rate()],
+                             ids=["linear", "indicator"])
+    def test_nan_fugacity_is_rejected_up_front(self, rate, kernel):
+        # not summed to the term budget first
+        for z in (math.nan, np.array([0.5, math.nan])):
+            for series in (mean_density, partition_function):
+                with pytest.raises(ValueError, match="not NaN"):
+                    series(rate, z)
+
     @pytest.mark.parametrize("spec, zeta, error", [
         # a known fault: Z(0.999) = 1000, but the series needs ~20,000 terms
         ("indicator", 0.999, "exhausted term budget"),
