@@ -13,6 +13,10 @@ named by a hash of the source and the compiler flags, so an edited source
 or new flags build afresh.  A build writes a temporary file and renames
 it into place, so processes that start at once cannot load a half-written
 library.
+Within one process a module lock guards the first ``load()``, so threads
+that start at once build and load the library once, and warn once when
+it cannot load; every later call reads the loaded library without the
+lock.
 
 The flags keep the arithmetic exact: no ``-ffast-math``, and
 ``-ffp-contract=off`` so that no multiply-add is fused, which Python and
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import ctypes
 import os
+import threading
 import warnings
 from pathlib import Path
 
@@ -67,6 +72,7 @@ ENTRY_POINTS = {
 #: the loaded library, or None after a failed load; unset until the first
 #: load()
 _loaded: list = []
+_lock = threading.Lock()
 
 
 def _library() -> Path:
@@ -108,23 +114,31 @@ def _library() -> Path:
     return lib
 
 
+def _open():
+    """The work of ``load()``'s first call."""
+    try:
+        lib = ctypes.CDLL(str(_library()))
+        for name, (restype, argtypes) in ENTRY_POINTS.items():
+            fn = getattr(lib, name)
+            fn.restype, fn.argtypes = restype, argtypes
+        return lib
+    except KernelUnavailable as e:
+        reason = e
+    except (OSError, AttributeError) as e:
+        reason = f"cannot load the kernel: {e}"
+    # stacklevel 3: the warning points at load()'s caller
+    warnings.warn(f"zrhydro: {reason}; running the Python reference",
+                  RuntimeWarning, stacklevel=3)
+    return None
+
+
 def load():
     """The library, built and loaded on the first call, with the argument
     and result types of every entry point set; None, with one
-    RuntimeWarning naming the reason, when it cannot be built or
-    loaded."""
+    RuntimeWarning naming the reason, when it cannot be built or loaded.
+    Every call, from any thread, returns the first call's result."""
     if not _loaded:
-        try:
-            try:
-                lib = ctypes.CDLL(str(_library()))
-                for name, (restype, argtypes) in ENTRY_POINTS.items():
-                    fn = getattr(lib, name)
-                    fn.restype, fn.argtypes = restype, argtypes
-            except (OSError, AttributeError) as e:
-                raise KernelUnavailable(f"cannot load the kernel: {e}")
-        except KernelUnavailable as e:
-            warnings.warn(f"zrhydro: {e}; running the Python reference",
-                          RuntimeWarning, stacklevel=2)
-            lib = None
-        _loaded.append(lib)
+        with _lock:
+            if not _loaded:
+                _loaded.append(_open())
     return _loaded[0]

@@ -8,13 +8,18 @@ sidecar carrying the full spec.
 
 ``run_replicas`` is the one runner of single-copy replicas: ``compare``
 and ``zrh simulate`` both go through it.  It hands back, per replica, the
-snapshot profiles and the engine's ``TrajectoryRecord``; ZRH_THREADS caps
-its worker processes.  Suites are plain text files of key=value blocks
-separated by blank lines; each value is read as the type of its
-``ExperimentSpec`` field.
+snapshot profiles and the engine's ``TrajectoryRecord``.  ZRH_THREADS caps
+its worker threads, all in the calling process: the compiled event loop
+releases the GIL, so replicas overlap there, while the Python-loop
+fallback holds the GIL and gains nothing.  Each replica has its own
+random stream, so the outputs do not depend on the thread count.
+
+Suites are plain text files of key=value blocks separated by blank
+lines; each value is read as the type of its ``ExperimentSpec`` field.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -70,6 +75,9 @@ class ExperimentSpec:
             raise ValueError(f"unknown comparison target {self.target!r}")
         if self.target == "oracle" and self.rate != "linear":
             raise ValueError("the closed-form target needs the linear rate")
+        if self.replicas < 1:
+            raise ValueError(f"replicas must be at least 1, got "
+                             f"{self.replicas}")
         # validate the pieces parse before any run starts
         rate_from_spec(self.rate)
         DensityProfile.from_spec(self.rho0, du=self.du)
@@ -119,17 +127,15 @@ class ComparisonReport:
         return lines
 
 
-def _run_replica(args):
-    """One replica: ([(t, DensityProfile), ...], the engine's
+def _run_replica(spec: ExperimentSpec, params: ModelParams, window,
+                 rho0: DensityProfile, rate, rep: int):
+    """Replica ``rep``: ([(t, DensityProfile), ...], the engine's
     TrajectoryRecord)."""
-    spec, N, rep, rho0, rate = args
-    params = spec.model_params(N)
-    t_max = max(spec.times)
-    window = choose_window(rho0.support(), params, t_max, spec.margin)
     rng = replica_stream(spec.seed, rep)
     cfg = build_initial(rho0, params, window, rng, closed=spec.closed)
     obs = SnapshotObserver(spec.times)
-    rec = EventEngine(cfg, params, rate, rng).run(t_max, observers=[obs])
+    rec = EventEngine(cfg, params, rate, rng).run(max(spec.times),
+                                                  observers=[obs])
     out = []
     for t, occ in obs.snapshots:
         c = cfg.copy()
@@ -142,15 +148,20 @@ def run_replicas(spec: ExperimentSpec, N: int, rho0: DensityProfile,
                  rate):
     """All replicas for one N, from the parsed ``spec.rho0`` and
     ``spec.rate``: a ``(profiles, record)`` pair per replica, ordered by
-    replica index, as ``Pool.map`` and the serial loop both keep job
-    order."""
-    jobs = [(spec, N, rep, rho0, rate) for rep in range(spec.replicas)]
-    workers = worker_count()
-    if workers > 1 and len(jobs) > 1:
-        import multiprocessing as mp
-        with mp.get_context("spawn").Pool(workers) as pool:
-            return pool.map(_run_replica, jobs)
-    return [_run_replica(j) for j in jobs]
+    replica index, as ``Executor.map`` and the serial loop both keep
+    input order."""
+    params = spec.model_params(N)
+    window = choose_window(rho0.support(), params, max(spec.times),
+                           spec.margin)
+    run = functools.partial(_run_replica, spec, params, window, rho0, rate)
+    reps = range(spec.replicas)
+    workers = min(worker_count(), spec.replicas)
+    if workers == 1:
+        return [run(rep) for rep in reps]
+    # imported here, so that serial runs do not pay its import time
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(run, reps))
 
 
 def _target_callable(spec: ExperimentSpec, params: ModelParams, t: float,

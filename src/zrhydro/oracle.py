@@ -195,7 +195,7 @@ def killing_probability_experiment(params: ModelParams, start_site: int,
     rate_right = N * (1.0 - params.p)
     kill = params.alpha * float(N) ** (1.0 + params.beta)
     cutoff = -int(math.ceil(ESCAPE_SIGMAS * math.sqrt(N)))
-    horizon = 40.0 * abs(cutoff) / (N * (2.0 * params.p - 1.0))
+    horizon = 40.0 * abs(cutoff) / (N * params.drift)
     killed = 0
     for r in range(replicas):
         pos = start_site

@@ -296,9 +296,8 @@ def solve_half_line(rho0: DensityProfile, flux: FluxModel, boundary,
 
 def _boundary_density(rho_left, params: ModelParams, thermo: ThermoTable):
     """R((2p-1) Phi(rho_L) / (2p-1 + alpha)), for a scalar or an array."""
-    drift = 2.0 * params.p - 1.0
-    return thermo.phi_inverse(drift * thermo.phi(rho_left)
-                              / (drift + params.alpha))
+    return thermo.phi_inverse(params.drift * thermo.phi(rho_left)
+                              / (params.drift + params.alpha))
 
 
 def boundary_density_from_left_trace(left_trace, params: ModelParams,

@@ -46,6 +46,25 @@ def test_simulate_workers_write_the_serial_csv(tmp_path, monkeypatch):
     assert [r["replica"] for r in metas[0]] == [0, 1, 2]
 
 
+def test_simulate_threads_write_the_serial_outputs(tmp_path, kernel,
+                                                   monkeypatch):
+    # on either loop, the thread count changes neither the CSV nor the
+    # sidecar, apart from wall times
+    args = ["simulate", "--N", "30", "--t-end", "0.3", "--replicas", "4",
+            "--seed", "5"]
+    outputs = []
+    for threads in ("1", "2", "4"):
+        monkeypatch.setenv("ZRH_THREADS", threads)
+        out = tmp_path / f"threads{threads}.csv"
+        main(args + ["--out", str(out)])
+        meta = json.loads((tmp_path / f"{out.name}.json").read_text())
+        for r in meta["replicas"]:
+            del r["wall_time_s"]
+        outputs.append((out.read_bytes(), meta))
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    assert [r["kernel"] for r in outputs[0][1]["replicas"]] == [kernel] * 4
+
+
 def test_simulate_kernels_write_identical_csv(tmp_path, c_kernel,
                                             monkeypatch):
     from zrhydro import _ckernel

@@ -190,3 +190,53 @@ class TestLabeledCoupling:
                                     replica_stream(15, 1))
         eng.run(0.3)
         assert all(e <= o for e, o in zip(eng._eta, eng._omega))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_closed_window_keeps_its_balance(data):
+    # a closed window loses no particle at either edge, and every engine
+    # keeps its balance, on both loops, for any non-decreasing rate,
+    # drift, destruction regime and window
+    kind = data.draw(st.sampled_from(["event", "second", "labeled"]))
+    n = data.draw(st.integers(1, 8))
+    occ = data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    x_min = data.draw(st.integers(-8, 1))
+    steps = data.draw(st.lists(st.floats(0.0, 2.0), min_size=1,
+                               max_size=4))
+    slope = data.draw(st.sampled_from([0.0, 0.5, 1.0]))
+    g = np.cumsum([max(steps[0], 0.1), *steps[1:]])
+    spec = "table:0," + ",".join(map(repr, g.tolist()))
+    rate = data.draw(st.sampled_from([
+        rate_from_spec(f"{spec};slope={slope}"), linear_rate(),
+        indicator_rate()]))
+    params = ModelParams(data.draw(st.floats(0.5, 1.0, exclude_min=True)),
+                         data.draw(st.floats(0.0, 2.0)),
+                         data.draw(st.sampled_from([-1.0, 0.0, 1.0])),
+                         10)
+    seed = data.draw(st.integers(0, 2**16))
+    engine = {"event": EventEngine, "second": SecondClassEngine,
+              "labeled": LabeledCouplingEngine}[kind]
+
+    def run():
+        eng = engine(config(occ, x_min, closed=True), params, rate,
+                     replica_stream(seed, 0))
+        start = eng._balance()
+        eng.run(0.5)
+        if kind == "labeled":
+            assert eng._cnt[0] == 0
+        else:
+            assert eng._cnt[1] == eng._cnt[2] == 0
+        assert eng._balance() == start
+        return (eng.kernel, eng.n_events, eng.time.hex(),
+                [[int(k) for k in getattr(eng, name)] for name in eng._OCC],
+                [int(k) for k in eng._cnt])
+
+    compiled = run()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_ckernel, "load", lambda: None)
+        python = run()
+    assert python[0] == "python"
+    if compiled[0] == "c":
+        # the two loops give one trajectory
+        assert compiled[1:] == python[1:]

@@ -32,6 +32,13 @@ class TestExperimentSpec:
         with pytest.raises(Exception):
             ExperimentSpec(name="x", rate="mystery", target="none")
 
+    @pytest.mark.parametrize("replicas", [0, -2])
+    def test_no_replicas_rejected(self, replicas):
+        # no mean profile exists without a replica
+        with pytest.raises(ValueError, match="replicas"):
+            ExperimentSpec(name="x", N=(30,), times=(0.1,),
+                           replicas=replicas)
+
     def test_exclusions(self):
         spec = ExperimentSpec(name="x", p=0.75, delta=0.1)
         (a, b), (c, d) = spec.exclusions(1.0)
@@ -171,6 +178,18 @@ class TestOutputs:
         rep = compare(spec)
         assert rep.entries[0].distance == tiny_report.entries[0].distance
 
+    def test_threads_write_the_serial_bytes(self, tmp_path, kernel,
+                                            monkeypatch):
+        spec = ExperimentSpec(name="tiny", N=(30, 40), times=(0.1, 0.2),
+                              replicas=5, tolerance=0.5, seed=11)
+        written = []
+        for threads in ("1", "2", "4"):
+            monkeypatch.setenv("ZRH_THREADS", threads)
+            path = tmp_path / f"threads{threads}.csv"
+            write_density_csv(path, compare(spec))
+            written.append(path.read_bytes())
+        assert written[1] == written[0] and written[2] == written[0]
+
 
 SUITE_OK = """\
 # two small experiments
@@ -228,6 +247,12 @@ class TestSuiteFiles:
         f = tmp_path / "s.suite"
         f.write_text("name = x\np = fast\n")
         with pytest.raises(SuiteParseError, match="line 2"):
+            parse_suite(f)
+
+    def test_no_replicas_reported(self, tmp_path):
+        f = tmp_path / "s.suite"
+        f.write_text(SUITE_OK + "\nname = empty\nN = 30\nreplicas = 0\n")
+        with pytest.raises(SuiteParseError, match="line 14: replicas"):
             parse_suite(f)
 
     def test_missing_equals(self, tmp_path):

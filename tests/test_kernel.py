@@ -11,7 +11,10 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
+import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -166,6 +169,50 @@ def test_no_compiler_falls_back_with_one_warning(fresh_cache, monkeypatch):
     assert len(caught) == 1
     assert first.kernel == second.kernel == "python"
     assert first.run(0.5).kernel == "python"
+
+
+@pytest.fixture
+def slow_library(fresh_cache, monkeypatch):
+    """``_library`` slowed by 50 ms, so that threads calling ``load()``
+    at once all find no library loaded; returns the list of its calls."""
+    calls = []
+    library = _ckernel._library
+
+    def slow():
+        calls.append(threading.get_ident())
+        time.sleep(0.05)
+        return library()
+    monkeypatch.setattr(_ckernel, "_library", slow)
+    return calls
+
+
+def _load_in_threads(count=4):
+    start = threading.Barrier(count)
+
+    def load():
+        start.wait()
+        return _ckernel.load()
+    with ThreadPoolExecutor(count) as pool:
+        futures = [pool.submit(load) for _ in range(count)]
+        return [f.result() for f in futures]
+
+
+def test_threads_that_load_at_once_build_once(slow_library):
+    if shutil.which(_ckernel.COMPILER) is None:
+        pytest.skip("no C compiler")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        libs = _load_in_threads()
+    assert len(slow_library) == 1 and len(_ckernel._loaded) == 1
+    assert libs[0] is not None and all(lib is libs[0] for lib in libs)
+
+
+def test_threads_without_a_compiler_warn_once(slow_library, monkeypatch):
+    monkeypatch.setattr(_ckernel, "COMPILER", "zrh-no-such-compiler")
+    with pytest.warns(RuntimeWarning, match="no C compiler") as caught:
+        libs = _load_in_threads()
+    assert len(caught) == 1 and libs == [None] * 4
+    assert len(slow_library) == 1 and _ckernel._loaded == [None]
 
 
 def test_failed_build_falls_back(fresh_cache, monkeypatch, tmp_path):
