@@ -1,9 +1,10 @@
 /* Compiled inner loops of zrhydro: the event loop of its four processes,
- * the sum-tree build, and the upwind march and the Phi/R series of the
- * PDE layer.  Each repeats its Python reference operation for operation,
- * so the two give bit-identical results (build with -ffp-contract=off and
- * no -ffast-math).  A routine that meets an error returns a non-zero
- * status and the caller re-runs the reference, which raises it.
+ * the sum-tree build, and the upwind march, the Phi/R series and the
+ * Kruzhkov entropy integrals of the PDE layer.  Each repeats its Python
+ * reference operation for operation, so the two give bit-identical
+ * results (build with -ffp-contract=off and no -ffast-math).  A routine
+ * that meets an error returns a non-zero status and the caller re-runs
+ * the reference, which raises it.
  *
  * zrh_run() runs the Gillespie direct-method loop of engine.GillespieLoop
  * over a stretch of events, as the Python loop and its step closures do
@@ -519,4 +520,160 @@ int zrh_phi(const double *rho, int64_t n, double top, const double *g,
         out[i] = 0.5 * (lo + hi);
     }
     return 0;
+}
+
+/* numpy's pairwise sum of a contiguous float64 row a[0..n): fewer than 8
+ * in turn, up to 128 in eight accumulators, else the two halves split at a
+ * multiple of 8.  add.reduce adds it to the identity 0.0, which the caller
+ * does. */
+static double pairwise(const double *a, int64_t n)
+{
+    if (n < 8) {
+        double res = 0.0;
+        for (int64_t i = 0; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        int64_t i;
+        for (int j = 0; j < 8; j++)
+            r[j] = a[j];
+        for (i = 8; i < n - n % 8; i += 8)
+            for (int j = 0; j < 8; j++)
+                r[j] += a[i + j];
+        double res = ((r[0] + r[1]) + (r[2] + r[3]))
+                     + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    int64_t n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise(a, n2) + pairwise(a + n2, n - n2);
+}
+
+/* np.trapezoid(y, dx=dt) over n rows, add.reduce(dt * (y[1:] + y[:-1]) /
+ * 2.0), through tmp[n - 1]; 0 for fewer than two rows, as
+ * pde._trapezoid. */
+static double trapezoid(const double *y, int64_t n, double dt, double *tmp)
+{
+    if (n < 2)
+        return 0.0;
+    for (int64_t k = 0; k < n - 1; k++)
+        tmp[k] = dt * (y[k + 1] + y[k]) / 2.0;
+    return 0.0 + pairwise(tmp, n - 1);
+}
+
+/* np.maximum(x, 0.0) bit for bit, +0.0 for a zero of either sign, for
+ * finite |x| <= DBL_MAX / 2: x + |x| is 2x or +0.0, both exact, and the
+ * halving is exact.  A larger x gives infinity, which the caller's
+ * finiteness check sends to the reference.  Unlike a comparison it
+ * needs no branch, so the loops that call it vectorize. */
+static double positive(double x)
+{
+    return 0.5 * (x + fabs(x));
+}
+
+/* 1 when a[0..n) holds a NaN or an infinity, else 0 */
+static int nonfinite(const double *a, int64_t n)
+{
+    int bad = 0;
+    for (int64_t i = 0; i < n; i++)
+        bad |= !isfinite(a[i]);
+    return bad;
+}
+
+/* Terms a (r - c)+ + b (f - fc)+ into plus and a (c - r)+ + b (fc - f)+
+ * into minus, for j < n; two cells a pass, which the compiler can pair in
+ * vector registers. */
+static void semi_terms(const double *restrict r, const double *restrict f,
+                       const double *restrict a, const double *restrict b,
+                       double c, double fc, int64_t n, double *restrict plus,
+                       double *restrict minus)
+{
+    int64_t j = 0;
+    for (; j + 1 < n; j += 2) {
+        double dr0 = r[j] - c, dr1 = r[j + 1] - c;
+        double df0 = f[j] - fc, df1 = f[j + 1] - fc;
+        plus[j] = a[j] * positive(dr0) + b[j] * positive(df0);
+        plus[j + 1] = a[j + 1] * positive(dr1) + b[j + 1] * positive(df1);
+        minus[j] = a[j] * positive(-dr0) + b[j] * positive(-df0);
+        minus[j + 1] = a[j + 1] * positive(-dr1)
+                       + b[j + 1] * positive(-df1);
+    }
+    for (; j < n; j++) {
+        double dr = r[j] - c, df = f[j] - fc;
+        plus[j] = a[j] * positive(dr) + b[j] * positive(df);
+        minus[j] = a[j] * positive(-dr) + b[j] * positive(-df);
+    }
+}
+
+/* Terms a |r - c| + b |f - fc| into out, for j < n, as semi_terms. */
+static void abs_terms(const double *restrict r, const double *restrict f,
+                      const double *restrict a, const double *restrict b,
+                      double c, double fc, int64_t n, double *restrict out)
+{
+    int64_t j = 0;
+    for (; j + 1 < n; j += 2) {
+        out[j] = a[j] * fabs(r[j] - c) + b[j] * fabs(f[j] - fc);
+        out[j + 1] = a[j + 1] * fabs(r[j + 1] - c)
+                     + b[j + 1] * fabs(f[j + 1] - fc);
+    }
+    for (; j < n; j++)
+        out[j] = a[j] * fabs(r[j] - c) + b[j] * fabs(f[j] - fc);
+}
+
+/* The integrals of pde._kruzhkov_block for one test function's block of
+ * nt rows by nu cells: rho and F its density and flux, ht and hu the
+ * derivatives of H.  Entry k = ic * forms + f takes c = cs[ic] with F(c)
+ * = fcs[ic] and form f: |x| when semi is 0, else (x)+ then (-x)+.  Each
+ * row forms every entry's terms H_t tr(rho - c) + H_u tr(F - F(c)) in one
+ * sweep, then sums each entry's row as np.sum does and scales it by du;
+ * I[k] is the trapezoid of those row sums in t.  With semi, B[k] is the
+ * trapezoid of h0 tr(rho_bar - c), else 0.  scratch holds
+ * entries * (nu + nt) + 2 nt.  Returns 0, or 1, with I and B unset or
+ * not finite, when rho, F or rho_bar holds a non-finite value or an
+ * integral is not finite. */
+int zrh_kruzhkov(const double *rho, const double *F, const double *ht,
+                 const double *hu, int64_t nt, int64_t nu, const double *cs,
+                 const double *fcs, int64_t nc, int64_t semi, double du,
+                 double dt, const double *h0, const double *rho_bar,
+                 double *scratch, double *I, double *B)
+{
+    int64_t forms = semi ? 2 : 1, entries = nc * forms;
+    double *terms = scratch, *rows = terms + entries * nu;
+    double *y = rows + entries * nt, *tmp = y + nt;
+    if (nonfinite(rho, nt * nu) || nonfinite(F, nt * nu)
+        || (semi && nonfinite(rho_bar, nt)))
+        return 1;
+    for (int64_t n = 0; n < nt; n++) {
+        const double *r = rho + n * nu, *f = F + n * nu;
+        const double *a = ht + n * nu, *b = hu + n * nu;
+        for (int64_t ic = 0; ic < nc; ic++) {
+            double c = cs[ic], fc = fcs[ic];
+            double *t0 = terms + ic * forms * nu, *t1 = t0 + nu;
+            if (semi)
+                semi_terms(r, f, a, b, c, fc, nu, t0, t1);
+            else
+                abs_terms(r, f, a, b, c, fc, nu, t0);
+        }
+        for (int64_t k = 0; k < entries; k++)
+            rows[k * nt + n] = (0.0 + pairwise(terms + k * nu, nu)) * du;
+    }
+    int bad = 0;
+    for (int64_t k = 0; k < entries; k++) {
+        I[k] = trapezoid(rows + k * nt, nt, dt, tmp);
+        B[k] = 0.0;
+        if (semi) {
+            double c = cs[k / 2];
+            for (int64_t n = 0; n < nt; n++) {
+                double d = rho_bar[n] - c;
+                y[n] = h0[n] * positive(k % 2 ? -d : d);
+            }
+            B[k] = trapezoid(y, nt, dt, tmp);
+        }
+        bad |= !isfinite(I[k]) || !isfinite(B[k]);
+    }
+    return bad;
 }

@@ -39,6 +39,18 @@ def _add_model_flags(p, default_rate="linear", include_N=True):
     p.add_argument("--seed", type=int, default=0)
 
 
+def _replica_count(text: str) -> int:
+    """argparse type of every ``--replicas`` flag: a positive integer."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, not {text!r}")
+    return n
+
+
 def _maybe_plot(path, profiles, labels):
     try:
         import matplotlib
@@ -262,7 +274,7 @@ def main(argv=None) -> int:
     ps.add_argument("--rho0", default="-1:0:1")
     ps.add_argument("--t-end", type=float, default=0.5, dest="t_end")
     ps.add_argument("--ell", type=int, default=10)
-    ps.add_argument("--replicas", type=int, default=1)
+    ps.add_argument("--replicas", type=_replica_count, default=1)
     ps.add_argument("--window-margin", type=float, default=0.5)
     ps.add_argument("--closed", action="store_true")
     ps.add_argument("--out", default="simulate.csv")
@@ -277,7 +289,7 @@ def main(argv=None) -> int:
     pc.add_argument("--preset-density", type=float, default=1.0)
     pc.add_argument("--rho0", default="-1:0:1")
     pc.add_argument("--t-end", type=float, default=0.5, dest="t_end")
-    pc.add_argument("--replicas", type=int, default=1)
+    pc.add_argument("--replicas", type=_replica_count, default=1)
     pc.add_argument("--window-margin", type=float, default=0.5)
     pc.add_argument("--out", default="couple.csv")
     pc.set_defaults(fn=cmd_couple)
@@ -292,7 +304,7 @@ def main(argv=None) -> int:
     pi.add_argument("--half-window", type=int, default=50)
     pi.add_argument("--validate", action="store_true")
     pi.add_argument("--t-end", type=float, default=1.0, dest="t_end")
-    pi.add_argument("--replicas", type=int, default=100)
+    pi.add_argument("--replicas", type=_replica_count, default=100)
     pi.add_argument("--sites", type=int, nargs="*", default=None)
     pi.add_argument("--out", default="-")
     pi.set_defaults(fn=cmd_invariant)
@@ -315,7 +327,7 @@ def main(argv=None) -> int:
     po.add_argument("--u-min", type=float, default=-2.0)
     po.add_argument("--u-max", type=float, default=2.0)
     po.add_argument("--site", type=int, default=0)
-    po.add_argument("--replicas", type=int, default=10000)
+    po.add_argument("--replicas", type=_replica_count, default=10000)
     po.add_argument("--out", default="-")
     po.set_defaults(fn=cmd_oracle)
 
@@ -326,7 +338,7 @@ def main(argv=None) -> int:
     pm.add_argument("--rho0", default="-1:0:1")
     pm.add_argument("--times", type=float, nargs="+", default=[0.8])
     pm.add_argument("--ell", type=int, default=10)
-    pm.add_argument("--replicas", type=int, default=10)
+    pm.add_argument("--replicas", type=_replica_count, default=10)
     pm.add_argument("--du", type=float, default=0.01)
     pm.add_argument("--target", choices=("pde", "oracle", "none"),
                     default="oracle")

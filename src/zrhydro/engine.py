@@ -411,6 +411,10 @@ class GillespieLoop:
         every = AUDIT_EVERY
         t = self.time
         total = self._total
+        # size the uniform blocks for the events expected by t_end, four
+        # uniforms each, with a margin of four Poisson deviations
+        m = min(total * (t_end - t), MAX_EVENTS)
+        self._ub.plan(int(4 * (m + 4 * math.sqrt(m) + 16)))
         events = self.n_events
         limit = events + MAX_EVENTS
         next_audit = (events // every + 1) * every

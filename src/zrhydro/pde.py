@@ -23,6 +23,12 @@ their bounds from ``ThermoTable.range_bounds``.  The steps run in the
 compiled library when one loads (``_ckernel``); the numpy steps are the
 reference, and raise every error.  At beta = 0 the boundary map runs once
 per distinct value of the trace column.
+
+The Kruzhkov check's integrals also run in the compiled library
+(``zrh_kruzhkov``), which sums rows and the trapezoid in t as numpy does,
+so its entries equal those of the numpy reference, ``_kruzhkov_block``,
+bit for bit; the reference runs when no library loads and re-runs a
+failed call.
 """
 from __future__ import annotations
 
@@ -439,6 +445,53 @@ def _trapezoid(rows, dt: float) -> float:
     return float(np.trapezoid(rows, dx=dt)) if len(rows) >= 2 else 0.0
 
 
+def _kruzhkov_block(rho, F_rho, H_t, H_u, cs, Fcs, semi, du, dt, H_0,
+                    rho_bar):
+    """The integrals of one test function's block, the reference of
+    ``zrh_kruzhkov``: lists of I and B, one of each per (c, form), forms
+    |x| or, with ``semi``, (x)+ then (-x)+.
+
+    rho - c and F(rho) - F(c) are formed once per c for both forms.  I is
+    the trapezoid in t of du times the row sums of
+    H_t tr(rho - c) + H_u tr(F(rho) - F(c)); with ``semi`` B is the
+    trapezoid of H(t, 0) tr(rho_bar - c), else 0.
+    """
+    forms = ((lambda x: np.maximum(x, 0.0), lambda x: np.maximum(-x, 0.0))
+             if semi else (np.abs,))
+    Is, Bs = [], []
+    for c, Fc in zip(cs, Fcs):
+        d_rho, d_F = rho - c, F_rho - Fc
+        if semi:
+            d_bar = rho_bar - c
+        for tr in forms:
+            rows = np.sum(H_t * tr(d_rho) + H_u * tr(d_F), axis=1) * du
+            Is.append(_trapezoid(rows, dt))
+            Bs.append(_trapezoid(H_0 * tr(d_bar), dt) if semi else 0.0)
+    return Is, Bs
+
+
+def _kruzhkov_compiled(lib, rho, F_rho, H_t, H_u, cs, Fcs, semi, du, dt,
+                       H_0, rho_bar):
+    """``_kruzhkov_block`` in ``zrh_kruzhkov``; None when the block's
+    density, flux or boundary density, or an integral, is not finite, so
+    that the reference runs."""
+    nt, nu = rho.shape
+    arrays = [np.ascontiguousarray(a, dtype=float)
+              for a in (rho, F_rho, H_t, H_u, cs, Fcs)]
+    if semi:
+        arrays += [np.ascontiguousarray(a, dtype=float)
+                   for a in (H_0, rho_bar)]
+    k = len(cs) * (2 if semi else 1)
+    scratch = np.empty(k * (nu + nt) + 2 * nt)
+    I, B = np.empty(k), np.empty(k)
+    ptrs = [a.ctypes.data for a in arrays]
+    if lib.zrh_kruzhkov(*ptrs[:4], nt, nu, *ptrs[4:6], len(cs), int(semi),
+                        du, dt, *(ptrs[6:] if semi else (None, None)),
+                        scratch.ctypes.data, I.ctypes.data, B.ctypes.data):
+        return None
+    return I.tolist(), B.tolist()
+
+
 def kruzhkov_check(grid: PdeGrid, flux: FluxModel, boundary,
                    test_family, c_values=None,
                    M: float = None) -> KruzhkovReport:
@@ -452,11 +505,16 @@ def kruzhkov_check(grid: PdeGrid, flux: FluxModel, boundary,
 
     F of the c values comes from one call per check, so a c outside the
     table's range raises even for an empty family.  Each test function's
-    block is evaluated once, and rho - c and F(rho) - F(c) once per c for
-    both forms.  Each (c, form) entry is an interior integral I plus M
-    times a boundary integral B, so Dirichlet checks also report
-    ``smallest_M``: the first m on linspace(0, M, 21) with I + m B >= -tol
-    for every entry (else M).
+    block is cut from the grid once, with F(rho) and the derivatives of H
+    on it.  Its integrals come from the compiled library's
+    ``zrh_kruzhkov`` when one loads, which forms every (c, form) term of a
+    row in one sweep and sums rows and the trapezoid as numpy does, so its
+    entries equal those of ``_kruzhkov_block``, the numpy reference, bit
+    for bit; the reference runs without a library and re-runs a block
+    whose compiled call fails on a non-finite value.  Each (c, form) entry
+    is an interior integral I plus M times a boundary integral B, so
+    Dirichlet checks also report ``smallest_M``: the first m on
+    linspace(0, M, 21) with I + m B >= -tol for every entry (else M).
     """
     if c_values is None:
         top = 1.2 * float(grid.values.max())
@@ -465,12 +523,11 @@ def kruzhkov_check(grid: PdeGrid, flux: FluxModel, boundary,
     dirichlet = isinstance(boundary, DirichletDensity)
     if dirichlet and M is None:
         raise ValueError("Dirichlet entropy check needs the constant M")
-    forms = ((("plus", lambda x: np.maximum(x, 0.0)),
-              ("minus", lambda x: np.maximum(-x, 0.0))) if dirichlet
-             else (("abs", np.abs),))
+    forms = ("plus", "minus") if dirichlet else ("abs",)
     centers = grid.centers
     cs = [float(c) for c in c_values]
     Fcs = flux.F(np.array(cs)).tolist()
+    lib = _ckernel.load()
     entries, parts = [], []  # parts: (I, B, tol) of each entry
     for H in test_family:
         tol = (grid.du * (H.sup_dt() + flux.flux_lipschitz * H.sup_du())
@@ -485,21 +542,19 @@ def kruzhkov_check(grid: PdeGrid, flux: FluxModel, boundary,
         rho = grid.values[n0:n1 + 1][:, jmask]
         F_rho = flux.F(rho)
         H_t, H_u = H.dt(times[:, None], us), H.du(times[:, None], us)
+        H_0 = rho_bar = None
         if dirichlet:
             H_0 = H.value(times, 0.0)
             rho_bar = np.array([boundary.value(t) for t in times.tolist()])
-        for c, Fc in zip(cs, Fcs):
-            d_rho, d_F = rho - c, F_rho - Fc
-            if dirichlet:
-                d_bar = rho_bar - c
-            for form, tr in forms:
-                rows = np.sum(H_t * tr(d_rho) + H_u * tr(d_F),
-                              axis=1) * grid.du
-                I = _trapezoid(rows, grid.dt)
-                B = _trapezoid(H_0 * tr(d_bar), grid.dt) if dirichlet else 0.0
-                parts.append((I, B, tol))
-                entries.append(KruzhkovEntry(
-                    H.name, c, I + M * B if dirichlet else I, tol, form))
+        block = (rho, F_rho, H_t, H_u, cs, Fcs, dirichlet, grid.du, grid.dt,
+                 H_0, rho_bar)
+        out = None if lib is None else _kruzhkov_compiled(lib, *block)
+        Is, Bs = out or _kruzhkov_block(*block)
+        for k, (I, B) in enumerate(zip(Is, Bs)):
+            parts.append((I, B, tol))
+            entries.append(KruzhkovEntry(
+                H.name, cs[k // len(forms)], I + M * B if dirichlet else I,
+                tol, forms[k % len(forms)]))
     report = KruzhkovReport(entries=entries)
     if isinstance(boundary, ZeroFlux):
         # influx diagnostic on the first few cells

@@ -215,3 +215,23 @@ def test_suite_subcommand(tmp_path):
 def test_unknown_subcommand_errors():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+@pytest.mark.parametrize("args", [
+    ["oracle", "--mode", "killprob", "--N", "50"],
+    ["couple", "--mode", "second-class", "--N", "30"],
+    ["simulate", "--N", "30"],
+    ["invariant", "--validate"],
+    ["compare", "--N", "30"],
+])
+@pytest.mark.parametrize("count", ["0", "-3", "two"])
+def test_no_replicas_is_a_usage_error(args, count, tmp_path, capsys):
+    # killprob divided by zero and second-class wrote a header-only CSV
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exit_:
+        main(args + ["--replicas", count, "--out", str(out)])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: zrh {args[0]}")
+    assert "--replicas: must be a positive integer" in err
+    assert not out.exists()

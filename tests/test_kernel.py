@@ -24,9 +24,11 @@ from zrhydro import _ckernel, coupling, engine
 from zrhydro.coupling import (BasicCouplingEngine, LabeledCouplingEngine,
                               PairConfiguration, SecondClassEngine)
 from zrhydro.engine import (CallbackObserver, Configuration, EventEngine,
-                            ModelParams, SumTree)
+                            ModelParams, SumTree, build_initial,
+                            choose_window)
+from zrhydro.profiles import DensityProfile
 from zrhydro.rates import rate_from_spec
-from zrhydro.rng import replica_stream
+from zrhydro.rng import FIRST_BLOCK, UniformBlock, replica_stream
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 #: events per full-size buffer refill: four uniforms per event
@@ -273,6 +275,31 @@ def test_refills_between_events_stay_in_the_kernel(c_kernel, monkeypatch):
     assert len(calls) <= len(times) + eng.n_events // 10_000 + 1
 
 
+def test_planned_blocks_draw_little_past_the_run(kernel, monkeypatch):
+    # the shape of test_12's replicas: about 18,000 events, 73,000
+    # uniforms; the doubling ramp alone drew about 1.7 times that
+    sizes = []
+    refill = UniformBlock.refill
+
+    def spy(ub):
+        refill(ub)
+        sizes.append(len(ub._buf))
+    monkeypatch.setattr(UniformBlock, "refill", spy)
+    params = ModelParams(0.75, 1.0, 0.0, 200)
+    rho0 = DensityProfile.from_spec("-1:0:1", du=0.01)
+    window = choose_window(rho0.support(), params, 0.5, 0.5)
+    for rep in range(2):
+        sizes.clear()
+        rng = replica_stream(112, rep)
+        eng = EventEngine(build_initial(rho0, params, window, rng), params,
+                          rate_from_spec("linear"), rng, leak_fraction=1.0)
+        assert eng.run(0.5).kernel == kernel
+        drawn = FIRST_BLOCK + sum(sizes)
+        used = drawn - (len(eng._ub._buf) - eng._ub._i)
+        assert used > 60_000
+        assert drawn <= 1.2 * used
+
+
 def test_tree_build_is_the_accumulate(c_kernel):
     # node j sums values[j - lowbit(j):j] from the left, as numpy's
     # accumulate does; zeros and spread magnitudes make the order show
@@ -308,3 +335,34 @@ def test_interp_is_numpys(c_kernel):
                        fp.ctypes.data, len(INTERP_XP), got.ctypes.data)
         assert [v.hex() for v in got.tolist()] == [
             v.hex() for v in want.tolist()]
+
+
+def _kruzhkov_integral(lib, ht, dt):
+    """zrh_kruzhkov's I on rows ht with rho = 1, F = 0 and one c = 0 of the
+    |x| form: the trapezoid in t of each row's sum of ht."""
+    nt, nu = ht.shape
+    ones, zeros, c = np.ones((nt, nu)), np.zeros((nt, nu)), np.zeros(1)
+    scratch = np.empty(nu + 3 * nt)
+    I, B = np.empty(1), np.empty(1)
+    status = lib.zrh_kruzhkov(ones.ctypes.data, zeros.ctypes.data,
+                              ht.ctypes.data, zeros.ctypes.data, nt, nu,
+                              c.ctypes.data, c.ctypes.data, 1, 0, 1.0, dt,
+                              None, None, scratch.ctypes.data,
+                              I.ctypes.data, B.ctypes.data)
+    assert status == 0
+    return float(I[0])
+
+
+def test_kruzhkov_sums_are_numpys(c_kernel):
+    # two equal rows make I the row's sum, as np.sum gives it; one cell a
+    # row makes I the trapezoid of the column; spread magnitudes and signs
+    # make the order of the additions show
+    lib = _ckernel.load()
+    gen = np.random.default_rng(4)
+    for n in range(1, 301):
+        row = gen.standard_normal(n) * 10.0 ** gen.integers(-8, 9, n)
+        got = _kruzhkov_integral(lib, np.vstack([row, row]), 1.0)
+        assert got.hex() == float(np.sum(row)).hex(), n
+        want = float(np.trapezoid(row, dx=0.01)) if n > 1 else 0.0
+        got = _kruzhkov_integral(lib, row[:, None].copy(), 0.01)
+        assert got.hex() == want.hex(), n

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from zrhydro import pde
+from zrhydro import _ckernel, pde
 from zrhydro.engine import ModelParams
 from zrhydro.pde import (CflError, DirichletDensity, FluxModel, PdeError,
                          PdeGrid, ZeroFlux, boundary_density_from_left_trace,
@@ -256,6 +256,92 @@ class TestKruzhkov:
         with pytest.raises(ValueError):
             kruzhkov_check(g, lin_flux, bd, [TestFunction2D(0.1, 0.1, 0.2,
                                                             0.1)])
+
+
+@pytest.fixture(scope="module")
+def kruzhkov_cases(lin_flux, ind_flux):
+    """The grids of ``TestKruzhkov``'s checks, and a composed beta = 0
+    Dirichlet check at the entropy-check benchmark's du = 1/400, each as
+    the arguments of one ``kruzhkov_check``."""
+    du = 1 / 200
+    shock = solve_whole_line(DensityProfile.from_spec("-1:0:0,0:1.5:2",
+                                                      du=du),
+                             ind_flux, T=1.0, du=du, domain=(-1.0, 1.5))
+    jump = PdeGrid(u_min=-1.0, du=du, dt=shock.dt, values=np.array(
+        [np.where(shock.centers < t / 6, 2.0, 0.0) for t in shock.times]))
+    fam = bump_family((0.1, 0.9), (-0.6, 0.9))
+    bd = DirichletDensity(lambda t: 1.0)
+    sol = compose_theorem_solution(
+        0.0, DensityProfile.from_spec("-1:0:1", du=1 / 400),
+        ModelParams(0.75, 1.0, 0.0, 400), lin_flux.thermo, 0.8, du=1 / 400)
+    M = default_M(lin_flux, alpha=1.0)
+    return {
+        "constant": (solve_whole_line(
+            DensityProfile.constant(1.0, -1.0, 1.0, 0.02), ind_flux, T=0.5,
+            domain=(-1.0, 1.0)), ind_flux, None,
+            [TestFunction2D(0.25, 0.2, 0.0, 0.5)], {"c_values": [1.0]}),
+        "entropic_shock": (shock, ind_flux, None, fam, {}),
+        "nonentropic_jump": (jump, ind_flux, None, fam, {}),
+        "dirichlet": (solve_half_line(
+            DensityProfile.constant(0.0, 0.0, 1.0, 0.01), lin_flux, bd,
+            T=1.0, du=0.01), lin_flux, bd,
+            [TestFunction2D(0.5, 0.4, 0.0, 0.3),
+             TestFunction2D(0.5, 0.4, 0.4, 0.3)], {"M": M}),
+        "zero_flux": (solve_half_line(
+            DensityProfile.constant(0.0, 0.0, 1.0, 0.02), ind_flux,
+            ZeroFlux(), T=0.5), ind_flux, ZeroFlux(),
+            [TestFunction2D(0.25, 0.2, 0.5, 0.3)], {}),
+        "composed_beta0": (sol.right, lin_flux,
+                           DirichletDensity(sol.boundary_trace),
+                           bump_family((0.05, 0.75), (-0.3, 0.9), 2, 3),
+                           {"M": M}),
+    }
+
+
+def _kruzhkov_bits(grid, flux, boundary, family, keywords):
+    rep = kruzhkov_check(grid, flux, boundary, family, **keywords)
+    return ([(e.test_name, e.c.hex(), e.form, e.tol.hex(),
+              float(e.value).hex())
+             for e in rep.entries], rep.passed, rep.smallest_M)
+
+
+def _no_reference(*args):
+    raise AssertionError("the numpy reference ran")
+
+
+@pytest.mark.parametrize("case", ["constant", "entropic_shock",
+                                  "nonentropic_jump", "dirichlet",
+                                  "zero_flux", "composed_beta0"])
+def test_compiled_kruzhkov_is_the_reference(case, kruzhkov_cases, c_kernel,
+                                            monkeypatch):
+    # every entry, the verdict and smallest_M, bit for bit; the compiled
+    # pass must not fall back
+    with monkeypatch.context() as m:
+        m.setattr(pde, "_kruzhkov_block", _no_reference)
+        got = _kruzhkov_bits(*kruzhkov_cases[case])
+    monkeypatch.setattr(_ckernel, "load", lambda: None)
+    assert got == _kruzhkov_bits(*kruzhkov_cases[case])
+
+
+def test_nonfinite_kruzhkov_block_runs_the_reference(kruzhkov_cases,
+                                                     c_kernel, monkeypatch):
+    # a NaN density passes phi_of's range check; the compiled call fails
+    # on the one block that holds it, and the reference gives its NaN
+    # entries
+    grid, flux, boundary, family, keywords = kruzhkov_cases["dirichlet"]
+    vals = grid.values.copy()
+    vals[len(vals) // 2, 5] = np.nan
+    bad = PdeGrid(u_min=grid.u_min, du=grid.du, dt=grid.dt, values=vals)
+    keywords = dict(keywords, c_values=np.linspace(0.0, 1.2, 9))
+    ran = []
+    block = pde._kruzhkov_block
+    monkeypatch.setattr(pde, "_kruzhkov_block",
+                        lambda *a: ran.append(1) or block(*a))
+    got = _kruzhkov_bits(bad, flux, boundary, family, keywords)
+    assert ran == [1]
+    assert any(v == "nan" for *_, v in got[0])
+    monkeypatch.setattr(_ckernel, "load", lambda: None)
+    assert got == _kruzhkov_bits(bad, flux, boundary, family, keywords)
 
 
 class TestContraction:

@@ -50,3 +50,47 @@ def test_first_block_is_small():
     after = gen.random()
     ahead = np.flatnonzero(replica_stream(9, 4).random(1025) == after)
     assert ahead.size == 1 and ahead[0] <= 1024
+
+
+@pytest.mark.parametrize("want,k", [(0, 300), (100, 50), (1000, 1000),
+                                    (1000, 5000), (3 * BLOCK + 7, 3 * BLOCK)])
+def test_planned_stream_is_one_draw_and_state_follows_blocks(want, k):
+    ub = UniformBlock(replica_stream(5, 2))
+    ub.next()
+    ub.plan(want)
+    got, sizes = _drawn(ub, k)
+    want_stream = replica_stream(5, 2).random(k + 1)[1:]
+    assert ([x.hex() for x in got.tolist()]
+            == [x.hex() for x in want_stream.tolist()])
+    fresh = replica_stream(5, 2)
+    fresh.random(sum(sizes))
+    assert (repr(ub._gen.bit_generator.state)
+            == repr(fresh.bit_generator.state))
+
+
+def test_planned_blocks_are_the_remainder_then_the_ramp():
+    ub = UniformBlock(replica_stream(1, 0))
+    for _ in range(100):
+        ub.next()
+    want = 2 * BLOCK + 1000
+    ub.plan(want)
+    _, sizes = _drawn(ub, want + 3 * BLOCK)
+    # the first block's 156 unread uniforms count toward the plan
+    rest = want - (FIRST_BLOCK - 100)
+    assert sizes[:4] == [FIRST_BLOCK, BLOCK, BLOCK, rest - 2 * BLOCK]
+    ramp = [sizes[3]]
+    while ramp[-1] < BLOCK:
+        ramp.append(min(2 * ramp[-1], BLOCK))
+    assert sizes[4:4 + len(ramp) - 1] == ramp[1:]
+    assert set(sizes[3 + len(ramp):]) == {BLOCK}
+
+
+def test_a_new_plan_replaces_the_last():
+    ub = UniformBlock(replica_stream(1, 0))
+    ub.plan(10 * BLOCK)
+    ub.plan(FIRST_BLOCK + 40)
+    _, sizes = _drawn(ub, FIRST_BLOCK + 1)
+    assert sizes == [FIRST_BLOCK, 40]
+    ub.plan(0)
+    _, sizes = _drawn(ub, 40)
+    assert sizes == [40, 80]
