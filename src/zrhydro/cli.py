@@ -13,8 +13,9 @@ import sys
 import numpy as np
 
 from .engine import ModelParams, build_initial, choose_window
-from .harness import (ExperimentSpec, _fmt, compare, run_replicas,
-                      run_suite, write_density_csv, write_report_json)
+from .harness import (ExperimentSpec, _fmt, compare, map_replicas,
+                      run_replicas, run_suite, write_density_csv,
+                      write_report_json)
 from .invariant import (PRESETS, build_profile, preset_profile,
                         sample_stationary, stationarity_test)
 from .oracle import (LinearCaseParams, dual_rw_estimate,
@@ -49,6 +50,15 @@ def _replica_count(text: str) -> int:
         raise argparse.ArgumentTypeError(
             f"must be a positive integer, not {text!r}")
     return n
+
+
+def _write_text(path, text: str):
+    """Write ``text`` to the file ``path``, or to stdout for ``-``."""
+    if path == "-":
+        sys.stdout.write(text)
+        return
+    with open(path, "w") as f:
+        f.write(text)
 
 
 def _maybe_plot(path, profiles, labels):
@@ -89,16 +99,16 @@ def cmd_simulate(args):
              "exited_right": rec.exited_right, "events": rec.n_events,
              "wall_time_s": round(rec.wall_time, 3), "kernel": rec.kernel}
             for rep, (_, rec) in enumerate(replicas)]
-    with open(args.out + ".json", "w") as f:
-        json.dump({"replicas": meta}, f, indent=2)
-        f.write("\n")
+    _write_text(args.out + ".json",
+                json.dumps({"replicas": meta}, indent=2) + "\n")
     if args.plot:
         _maybe_plot(args.plot, [prof], ["final replica"])
     return 0
 
 
 def cmd_couple(args):
-    from .coupling import (LabeledCouplingEngine, SecondClassEngine,
+    from .coupling import (BasicCouplingEngine, LabeledCouplingEngine,
+                           PairConfiguration, SecondClassEngine,
                            second_class_left_mass)
     params = ModelParams(p=args.asym, alpha=args.alpha, beta=args.beta,
                          N=args.N)
@@ -106,18 +116,17 @@ def cmd_couple(args):
     rho0 = DensityProfile.from_spec(args.rho0)
     window = choose_window(rho0.support(), params, args.t_end,
                            args.window_margin)
-    rows = []
     kw = {}
     if args.preset is not None:
         thermo = ThermoTable(rate, rho_max=max(4.0, 2 * args.preset_density))
+        prof = preset_profile(args.preset, params, args.preset_density,
+                              thermo, window)
         # the stationary preset fills the window to both edges, so exits
         # are part of the dynamics there, not a sign of a short window
         kw["leak_fraction"] = 1.0
-    for rep in range(args.replicas):
-        rng = replica_stream(args.seed, rep)
+
+    def run(rng):
         if args.preset is not None:
-            prof = preset_profile(args.preset, params,
-                                  args.preset_density, thermo, window)
             cfg = sample_stationary(prof, thermo, rng)
         else:
             cfg = build_initial(rho0, params, window, rng)
@@ -125,19 +134,18 @@ def cmd_couple(args):
             eng = SecondClassEngine(cfg, params, rate, rng, **kw)
             eng.run(args.t_end)
             st = eng.state()
-            rows.append((args.t_end, st.conversions,
-                         _fmt(second_class_left_mass(st, params.N)), ""))
-        elif args.mode == "labeled":
+            return (args.t_end, st.conversions,
+                    _fmt(second_class_left_mass(st, params.N)), "")
+        if args.mode == "labeled":
             eng = LabeledCouplingEngine(cfg, params, rate, rng, **kw)
-            disc = eng.run(args.t_end)
-            rows.append((args.t_end, "", "", disc))
-        else:
-            from .coupling import BasicCouplingEngine, PairConfiguration
-            pair = PairConfiguration(cfg.copy(), cfg.copy())
-            eng = BasicCouplingEngine(pair, params, rate, rng,
-                                      order_guard=True, **kw)
-            eng.run(args.t_end)
-            rows.append((args.t_end, "", "", eng.order_violations))
+            return (args.t_end, "", "", eng.run(args.t_end))
+        pair = PairConfiguration(cfg.copy(), cfg.copy())
+        eng = BasicCouplingEngine(pair, params, rate, rng, order_guard=True,
+                                  **kw)
+        eng.run(args.t_end)
+        return (args.t_end, "", "", eng.order_violations)
+
+    rows = map_replicas(run, args.seed, args.replicas)
     with open(args.out, "w") as f:
         f.write("t,k_t,left_mass,discrepancy\n")
         for t, k, lm, d in rows:
@@ -172,12 +180,7 @@ def cmd_invariant(args):
             "sites": [{"x": s.x, "target": s.target, "mean_g": s.mean_g,
                        "se": s.se_g, "passed": s.passed}
                       for s in rep.sites]}
-    text = json.dumps(doc, indent=2) + "\n"
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w") as f:
-            f.write(text)
+    _write_text(args.out, json.dumps(doc, indent=2) + "\n")
     return 0 if doc.get("stationarity", {}).get("passed", True) else 1
 
 
@@ -202,9 +205,8 @@ def cmd_pde(args):
                            grid.u_max - 2 * args.du))
         rep = kruzhkov_check(grid, flux, None, fam)
         doc = {"passed": rep.passed, "n_inequalities": len(rep.entries)}
-        with open(args.out + ".check.json", "w") as f:
-            json.dump(doc, f, indent=2)
-            f.write("\n")
+        _write_text(args.out + ".check.json",
+                    json.dumps(doc, indent=2) + "\n")
         print(rep)
         return 0 if rep.passed else 1
     return 0
@@ -216,33 +218,29 @@ def cmd_oracle(args):
     lin = LinearCaseParams(params)
     rho0 = DensityProfile.from_spec(args.rho0)
     rng = replica_stream(args.seed, 0)
-    out = open(args.out, "w") if args.out != "-" else sys.stdout
+    # rows first, then the file: a failed run leaves no file behind
     if args.mode == "exact":
-        out.write("t,u,density\n")
-        for u in np.arange(args.u_min, args.u_max, 0.01):
-            v = exact_linear_solution(rho0, lin, args.t, u)
-            out.write(f"{_fmt(args.t)},{_fmt(u)},{_fmt(v)}\n")
+        head, rows = "t,u,density", [
+            (args.t, u, exact_linear_solution(rho0, lin, args.t, u))
+            for u in np.arange(args.u_min, args.u_max, 0.01)]
     elif args.mode == "ode":
-        curve = integrate_density_ode(rho0, params,
-                                      (int(args.u_min * params.N),
-                                       int(args.u_max * params.N)), args.t)
-        out.write("t,u,density\n")
-        prof = curve.final_profile()
-        for u, v in zip(prof.centers, prof.values):
-            out.write(f"{_fmt(args.t)},{_fmt(u)},{_fmt(v)}\n")
+        prof = integrate_density_ode(rho0, params,
+                                     (int(args.u_min * params.N),
+                                      int(args.u_max * params.N)),
+                                     args.t).final_profile()
+        head, rows = "t,u,density", [
+            (args.t, u, v) for u, v in zip(prof.centers, prof.values)]
     elif args.mode == "dual":
         est, se = dual_rw_estimate(args.site, args.t, params, rho0,
                                    args.replicas, rng)
-        out.write("x,t,estimate,se\n")
-        out.write(f"{args.site},{_fmt(args.t)},{_fmt(est)},{_fmt(se)}\n")
-    elif args.mode == "killprob":
+        head, rows = "x,t,estimate,se", [(args.site, args.t, est, se)]
+    else:
         frac, se = killing_probability_experiment(params, args.site,
                                                   args.replicas, rng)
-        out.write("start,empirical,se,alpha_tilde_N\n")
-        out.write(f"{args.site},{_fmt(frac)},{_fmt(se)},"
-                  f"{_fmt(lin.alpha_tilde_N)}\n")
-    if out is not sys.stdout:
-        out.close()
+        head, rows = "start,empirical,se,alpha_tilde_N", [
+            (args.site, frac, se, lin.alpha_tilde_N)]
+    _write_text(args.out, "".join(line + "\n" for line in [head] + [
+        ",".join(map(_fmt, row)) for row in rows]))
     return 0
 
 

@@ -298,7 +298,7 @@ class GillespieLoop:
         self._gt = self.rate.table(particles + 2)
         self._cnt = np.array(self._cnt, dtype=np.int64)
         rates = self._site_rates()
-        self._total = math.fsum(rates.tolist())
+        self._total = self._rebuilt = math.fsum(rates.tolist())
         self._mass0 = self._balance()
         self._leak_cap = self.leak_fraction * max(sum(self._mass0), 1)
         self._ub = UniformBlock(self.rng)
@@ -375,12 +375,15 @@ class GillespieLoop:
         if bad.size:
             i = int(bad[0])
             raise RateConsistencyError(f"site {i}: {held[i]} != {fresh[i]}")
+        # the running total carries rounding from every total since the
+        # last rebuild, so its bound scales with that rebuild's total too
         root = math.fsum(fresh.tolist())
-        if abs(root - self._total) > RATE_REL_TOL * max(1.0, root):
+        if abs(root - self._total) > RATE_REL_TOL * max(1.0, root,
+                                                        self._rebuilt):
             raise RateConsistencyError(
                 f"running total {self._total} != rebuilt {root}")
         self._tree.rebuild(fresh)
-        self._total = root
+        self._total = self._rebuilt = root
 
     # -- main loop -------------------------------------------------------
 

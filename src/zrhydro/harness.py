@@ -6,20 +6,21 @@ solution or linear-case closed form).  Outputs are deterministic given
 the seed: CSV rows in fixed order with 12 significant digits and a JSON
 sidecar carrying the full spec.
 
-``run_replicas`` is the one runner of single-copy replicas: ``compare``
-and ``zrh simulate`` both go through it.  It hands back, per replica, the
-snapshot profiles and the engine's ``TrajectoryRecord``.  ZRH_THREADS caps
-its worker threads, all in the calling process: the compiled event loop
-releases the GIL, so replicas overlap there, while the Python-loop
-fallback holds the GIL and gains nothing.  Each replica has its own
-random stream, so the outputs do not depend on the thread count.
+``map_replicas`` is the one replica loop, under ``run_replicas`` (so
+``compare`` and ``zrh simulate``), ``zrh couple`` and
+``invariant.stationarity_test``.  Each replica has its own random stream,
+so the outputs do not depend on ZRH_THREADS, which caps the loop's worker
+threads in the calling process: the compiled event loop releases the GIL,
+so replicas overlap there; the Python-loop fallback gains nothing.  The
+``oracle`` dual walks are not replicas but one engine run per estimate;
+consecutive ``dual_rw_estimate`` calls sharing a generator read it after
+the blocks the previous call's engine planned and drew.
 
 Suites are plain text files of key=value blocks separated by blank
 lines; each value is read as the type of its ``ExperimentSpec`` field.
 """
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
@@ -127,41 +128,44 @@ class ComparisonReport:
         return lines
 
 
-def _run_replica(spec: ExperimentSpec, params: ModelParams, window,
-                 rho0: DensityProfile, rate, rep: int):
-    """Replica ``rep``: ([(t, DensityProfile), ...], the engine's
-    TrajectoryRecord)."""
-    rng = replica_stream(spec.seed, rep)
-    cfg = build_initial(rho0, params, window, rng, closed=spec.closed)
-    obs = SnapshotObserver(spec.times)
-    rec = EventEngine(cfg, params, rate, rng).run(max(spec.times),
-                                                  observers=[obs])
-    out = []
-    for t, occ in obs.snapshots:
-        c = cfg.copy()
-        c.occ = occ
-        out.append((t, empirical_density(c, params, spec.ell)))
-    return out, rec
+def map_replicas(run, seed: int, replicas: int) -> list:
+    """``run(replica_stream(seed, rep))`` for each replica, in replica
+    order, over ``worker_count()`` threads (``Executor.map`` keeps input
+    order, as the serial loop does)."""
+    if replicas < 1:
+        raise ValueError(f"replicas must be at least 1, got {replicas}")
+    streams = (replica_stream(seed, rep) for rep in range(replicas))
+    workers = min(worker_count(), replicas)
+    if workers == 1:
+        return [run(rng) for rng in streams]
+    # imported here, so that serial runs do not pay its import time
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(run, streams))
 
 
 def run_replicas(spec: ExperimentSpec, N: int, rho0: DensityProfile,
                  rate):
-    """All replicas for one N, from the parsed ``spec.rho0`` and
-    ``spec.rate``: a ``(profiles, record)`` pair per replica, ordered by
-    replica index, as ``Executor.map`` and the serial loop both keep
-    input order."""
+    """All single-copy replicas of ``spec`` for one N, from the parsed
+    ``spec.rho0`` and ``spec.rate``: a ``([(t, DensityProfile), ...],
+    TrajectoryRecord)`` pair per replica, in replica order."""
     params = spec.model_params(N)
     window = choose_window(rho0.support(), params, max(spec.times),
                            spec.margin)
-    run = functools.partial(_run_replica, spec, params, window, rho0, rate)
-    reps = range(spec.replicas)
-    workers = min(worker_count(), spec.replicas)
-    if workers == 1:
-        return [run(rep) for rep in reps]
-    # imported here, so that serial runs do not pay its import time
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(workers) as pool:
-        return list(pool.map(run, reps))
+
+    def run(rng):
+        cfg = build_initial(rho0, params, window, rng, closed=spec.closed)
+        obs = SnapshotObserver(spec.times)
+        rec = EventEngine(cfg, params, rate, rng).run(max(spec.times),
+                                                      observers=[obs])
+        out = []
+        for t, occ in obs.snapshots:
+            c = cfg.copy()
+            c.occ = occ
+            out.append((t, empirical_density(c, params, spec.ell)))
+        return out, rec
+
+    return map_replicas(run, spec.seed, spec.replicas)
 
 
 def _target_callable(spec: ExperimentSpec, params: ModelParams, t: float,

@@ -24,8 +24,8 @@ import numpy as np
 
 from .engine import (CallbackObserver, Configuration, EventEngine,
                      ModelParams)
+from .harness import map_replicas
 from .rates import RateFunction
-from .rng import replica_stream
 from .thermo import ThermoTable
 
 #: tolerance on the discrete balance residual
@@ -260,23 +260,21 @@ def stationarity_test(profile: StationaryProfile, rate: RateFunction,
         raise ValueError("observable site outside the profile window")
     times = (np.linspace(0.0, t_end, STATIONARITY_TIMES + 1)[1:] if t_end > 0
              else np.array([0.0]))
-    gvals = np.zeros((replicas, len(sites)))
-    for rep in range(replicas):
-        rng = replica_stream(master_seed, rep)
+
+    def run(rng):
         cfg = sample_stationary(profile, thermo, rng)
         acc_g = np.zeros(len(sites))
 
-        def record(t, engine, acc_g=acc_g, idx=idx):
+        def record(t, engine):
             for j, i in enumerate(idx):
                 acc_g[j] += engine.rate.g(engine._occ[i])
 
-        if t_end > 0:
-            eng = EventEngine(cfg, params, rate, rng, leak_fraction=1.0)
-            eng.run(t_end, observers=[CallbackObserver(times, record)])
-        else:
-            for j, i in enumerate(idx):
-                acc_g[j] = rate.g(int(cfg.occ[i]))
-        gvals[rep] = acc_g / len(times)
+        # t_end = 0 records the sample itself, at time 0
+        eng = EventEngine(cfg, params, rate, rng, leak_fraction=1.0)
+        eng.run(max(t_end, 0.0), observers=[CallbackObserver(times, record)])
+        return acc_g / len(times)
+
+    gvals = np.array(map_replicas(run, master_seed, replicas))
     stats = []
     for j, x in enumerate(sites):
         se = float(gvals[:, j].std(ddof=1) / math.sqrt(replicas))

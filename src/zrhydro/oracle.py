@@ -1,10 +1,13 @@
-"""Independent machinery for the exactly solvable linear case g(k) = k.
+"""Reference machinery for the exactly solvable linear case g(k) = k.
 
 For linear rates the site densities close on themselves: they solve a
 linear ODE system, admit a Feynman-Kac representation through a killed
 random walk with inverted drift, and converge to an explicit macroscopic
-profile with absorption factor alpha-tilde.  These routes never touch
-the event engine, so they serve as cross-checks for it.
+profile with absorption factor alpha-tilde.  The ODE and the closed form
+never touch the event engine: they are its independent references.  The
+dual walks are the particles of one ``EventEngine`` run per call, so an
+engine fault shows in them; consecutive calls sharing a generator read
+it after the blocks the previous call's engine planned and drew.
 """
 from __future__ import annotations
 
@@ -13,11 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import ModelParams
+from .engine import Configuration, EventEngine, ModelParams, choose_window
 from .profiles import DensityProfile
+from .rates import linear_rate
 
 #: escape cutoff for the killed walk, in units of sqrt(N) sites left of 0
 ESCAPE_SIGMAS = 4.0
+#: margin of the dual walks' window, in standard deviations of a walk
+DUAL_WINDOW_SIGMAS = 8.0
 #: cap on the density ODE's mass leaving the window, as a share of the
 #: initial mass
 ODE_LEAK_TOL = 1e-3
@@ -111,12 +117,8 @@ def integrate_density_ode(rho0, params: ModelParams,
         out[ti] = rho
         ti += 1
     for n in range(n_steps):
-        right = np.empty_like(rho)
-        right[:-1] = rho[1:]
-        right[-1] = 0.0
-        left = np.empty_like(rho)
-        left[1:] = rho[:-1]
-        left[0] = 0.0
+        right = np.concatenate((rho[1:], [0.0]))
+        left = np.concatenate(([0.0], rho[:-1]))
         drho = N * ((1 - p) * right + p * left - rho)
         if i0 >= 0:
             drho[i0] -= N * aNb * rho[i0]
@@ -137,45 +139,43 @@ def integrate_density_ode(rho0, params: ModelParams,
                     killed=killed, leaked=leaked, params=params)
 
 
-def _walk_step(pos: int, at_origin_kill: float, rate_left: float,
-               rate_right: float, rng) -> tuple:
-    total = rate_left + rate_right + (at_origin_kill if pos == 0 else 0.0)
-    wait = rng.exponential(1.0 / total)
-    u = rng.random() * total
-    if pos == 0 and u < at_origin_kill:
-        return wait, None
-    if u < (at_origin_kill if pos == 0 else 0.0) + rate_left:
-        return wait, pos - 1
-    return wait, pos + 1
+def _dual_walks(params: ModelParams, x: int, window: tuple[int, int],
+                replicas: int, rng: np.random.Generator, t_end: float,
+                **kw) -> Configuration:
+    """``replicas`` dual walks from site ``x`` to ``t_end``: the particles
+    of one linear-rate ``EventEngine`` run on the mirrored ``window``,
+    which each jump at rate N, right with probability p, and die at rate
+    N alpha N^beta at the origin.  Site y of the result holds those at -y.
+    """
+    if replicas < 1:
+        raise ValueError(f"replicas must be at least 1, got {replicas}")
+    lo, hi = window
+    occ = np.zeros(hi - lo + 1, dtype=np.int64)
+    occ[-x - lo] = replicas
+    cfg = Configuration(x_min=lo, occ=occ)
+    EventEngine(cfg, params, linear_rate(), rng, **kw).run(t_end)
+    return cfg
 
 
 def dual_rw_estimate(x: int, t: float, params: ModelParams, rho0,
                      replicas: int, rng: np.random.Generator):
     """Monte Carlo Feynman-Kac value of the site density at (x, t).
 
-    Simulates the dual walk (left at rate Np, right at N(1-p), killed at
-    alpha N^{1+beta} while at the origin) and averages
-    rho0(X_t / N) 1{tau > t}.  Unbiased for the ODE solution.
+    Averages rho0(X_t / N) 1{tau > t} over ``replicas`` dual walks (left
+    at rate Np, right at N(1-p), killed at alpha N^{1+beta} while at the
+    origin); unbiased for the ODE solution.  The window reaches
+    ``DUAL_WINDOW_SIGMAS`` standard deviations of a walk past its drift,
+    and exits past the engine's default leak cap (any exit, below 1,000
+    walks) raise ``LeakageError`` rather than bias the estimate.
     """
     N = params.N
-    rate_left = N * params.p
-    rate_right = N * (1.0 - params.p)
-    kill = params.alpha * float(N) ** (1.0 + params.beta)
-    vals = np.empty(replicas)
-    for r in range(replicas):
-        pos = x
-        clock = 0.0
-        alive = True
-        while True:
-            wait, nxt = _walk_step(pos, kill, rate_left, rate_right, rng)
-            if clock + wait > t:
-                break
-            clock += wait
-            if nxt is None:
-                alive = False
-                break
-            pos = nxt
-        vals[r] = rho0(pos / N) if alive else 0.0
+    margin = DUAL_WINDOW_SIGMAS * math.sqrt(max(t, 1.0 / N) / N)
+    window = choose_window((-x / N, -x / N), params, t, margin)
+    cfg = _dual_walks(params, x, window, replicas, rng, t)
+    ys = np.arange(cfg.x_min, cfg.x_max + 1)
+    at = np.broadcast_to(np.asarray(rho0(-ys / N), dtype=float), ys.shape)
+    vals = np.zeros(replicas)
+    vals[:cfg.total_mass] = np.repeat(at, cfg.occ)
     est = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(replicas)) if replicas > 1 else 0.0
     return est, se
@@ -185,29 +185,21 @@ def killing_probability_experiment(params: ModelParams, start_site: int,
                                    replicas: int, rng: np.random.Generator):
     """Empirical probability that the dual walk dies before escaping.
 
-    A walk is declared escaped once it is ESCAPE_SIGMAS * sqrt(N) sites
-    left of the origin (the drift points left, so returns from there are
-    exponentially unlikely).  Compare the kill fraction against
-    alpha_tilde_N.
+    A walk escapes once it is c = ESCAPE_SIGMAS * sqrt(N) sites left of
+    the origin (the drift points left, so returns from there are
+    exponentially unlikely): on the mirrored window [-c, c - 1], widened
+    to hold the start, that is an exit on the right.  An exit on the left,
+    c sites against the drift (chance about ((1 - p)/p)^c), counts as
+    survival.  Compare the kill fraction against alpha_tilde_N.
     """
     N = params.N
-    rate_left = N * params.p
-    rate_right = N * (1.0 - params.p)
-    kill = params.alpha * float(N) ** (1.0 + params.beta)
-    cutoff = -int(math.ceil(ESCAPE_SIGMAS * math.sqrt(N)))
-    horizon = 40.0 * abs(cutoff) / (N * params.drift)
-    killed = 0
-    for r in range(replicas):
-        pos = start_site
-        clock = 0.0
-        while clock < horizon and pos > cutoff:
-            wait, nxt = _walk_step(pos, kill, rate_left, rate_right, rng)
-            clock += wait
-            if nxt is None:
-                killed += 1
-                break
-            pos = nxt
-    frac = killed / replicas
+    c = int(math.ceil(ESCAPE_SIGMAS * math.sqrt(N)))
+    # walks still in the window at the horizon count as survivors
+    horizon = 40.0 * c / (N * params.drift)
+    window = (min(-c, -start_site), max(c - 1, -start_site))
+    cfg = _dual_walks(params, start_site, window, replicas, rng, horizon,
+                      leak_fraction=1.0)
+    frac = cfg.destroyed_count / replicas
     se = math.sqrt(max(frac * (1 - frac), 1e-12) / replicas)
     return frac, se
 

@@ -17,7 +17,10 @@ the ramp alone, whose last block can hold half of all drawn, drew about
 ``random()`` gives the same doubles however they are requested), but the
 generator's state after a run does: it has moved past the blocks drawn,
 not past the uniforms used.  An engine therefore owns its generator;
-nothing should draw from it after the engine does.
+nothing should draw from it after the engine does.  Consecutive
+``oracle.dual_rw_estimate`` calls sharing one generator read it after the
+blocks the previous call's engine planned and drew, so block sizing moves
+the estimates of all but the first call.
 """
 from __future__ import annotations
 

@@ -1,8 +1,10 @@
 import json
+import sys
 
 import pytest
 
 from zrhydro.cli import main
+from zrhydro.engine import LeakageError
 
 
 def test_simulate_writes_csv_and_sidecar(tmp_path):
@@ -150,6 +152,33 @@ def test_couple_preset_finishes_despite_exits(tmp_path, mode):
         assert len(out.read_text().splitlines()) == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["couple", "--mode", "second-class"],
+    ["couple", "--mode", "basic"],
+    ["couple", "--mode", "labeled"],
+    ["couple", "--mode", "basic", "--preset", "absorbing-critical"],
+    ["invariant", "--validate", "--p", "1", "--m-plus", "1",
+     "--half-window", "20", "--t-end", "0.2"],
+])
+def test_threads_write_the_serial_bytes(args, tmp_path, monkeypatch):
+    # more threads than cores, switching often, share the rate, the
+    # profile and the thermodynamic table
+    written = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for threads in ("1", "4"):
+            monkeypatch.setenv("ZRH_THREADS", threads)
+            out = tmp_path / f"threads{threads}.out"
+            main(args + ["--N", "30", "--replicas", "6", "--seed", "3",
+                         "--out", str(out)]
+                 + (["--t-end", "0.1"] if args[0] == "couple" else []))
+            written.append(out.read_bytes())
+    finally:
+        sys.setswitchinterval(interval)
+    assert written[0] == written[1]
+
+
 def test_invariant_json(tmp_path, capsys):
     out = tmp_path / "inv.json"
     rc = main(["invariant", "--p", "1.0", "--alpha", "1", "--beta", "0",
@@ -190,6 +219,21 @@ def test_oracle_killprob(tmp_path):
     header, row = out.read_text().splitlines()
     assert header == "start,empirical,se,alpha_tilde_N"
     assert float(row.split(",")[3]) == pytest.approx(2 / 3)
+
+
+@pytest.mark.parametrize("mode, error", [
+    ("ode", RuntimeError), ("dual", LeakageError)])
+def test_oracle_failed_run_writes_no_file(mode, error, tmp_path,
+                                          monkeypatch):
+    # the ODE's density leaks past a window this narrow; the dual walks
+    # leave a window cut to a hundredth of a standard deviation
+    from zrhydro import oracle
+    monkeypatch.setattr(oracle, "DUAL_WINDOW_SIGMAS", 0.01)
+    out = tmp_path / "o.csv"
+    with pytest.raises(error, match="leak|exits"):
+        main(["oracle", "--mode", mode, "--u-min", "-0.1", "--u-max", "0.1",
+              "--replicas", "500", "--out", str(out)])
+    assert not out.exists()
 
 
 def test_compare_pass_and_outputs(tmp_path):

@@ -2,17 +2,24 @@ import dataclasses
 import hashlib
 import json
 import time
+import warnings
 from pathlib import Path
 
 import pytest
 
 from zrhydro import harness
+from zrhydro.engine import ModelParams
 from zrhydro.harness import (ComparisonEntry, ExperimentSpec,
-                             SuiteParseError, compare, parse_suite,
-                             run_replicas, run_suite, worker_count,
-                             write_density_csv, write_report_json)
+                             SuiteParseError, compare, map_replicas,
+                             parse_suite, run_replicas, run_suite,
+                             worker_count, write_density_csv,
+                             write_report_json)
+from zrhydro.invariant import build_profile, stationarity_test
+from zrhydro.oracle import dual_rw_estimate, killing_probability_experiment
 from zrhydro.profiles import DensityProfile
 from zrhydro.rates import linear_rate
+from zrhydro.rng import replica_stream
+from zrhydro.thermo import ThermoTable
 
 
 class TestExperimentSpec:
@@ -46,6 +53,40 @@ class TestExperimentSpec:
         assert c == pytest.approx(0.4) and d == pytest.approx(0.6)
         spec2 = ExperimentSpec(name="y", delta=0.0)
         assert spec2.exclusions(1.0) == ()
+
+
+def _stationarity(replicas):
+    params = ModelParams(1.0, 1.0, 0.0, 40)
+    return stationarity_test(build_profile(params, (-10, 10), m_plus=1.0),
+                             linear_rate(), ThermoTable(linear_rate(), 4.0),
+                             t_end=0.1, replicas=replicas, sites=[0])
+
+
+_PARAMS = ModelParams(0.75, 1.0, 0.0, 30)
+NO_REPLICAS = {
+    "killing_probability_experiment": lambda n: (
+        killing_probability_experiment(_PARAMS, 0, n, replica_stream(0, 0))),
+    "dual_rw_estimate": lambda n: dual_rw_estimate(
+        0, 0.1, _PARAMS, lambda u: 1.0, n, replica_stream(0, 0)),
+    "stationarity_test": _stationarity,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NO_REPLICAS))
+@pytest.mark.parametrize("replicas", [0, -2])
+def test_entry_points_reject_no_replicas(entry, replicas):
+    # these divided by zero, or returned nan estimates with warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="replicas must be at least 1"):
+            NO_REPLICAS[entry](replicas)
+
+
+def test_map_replicas_seeds_each_replica_in_order(monkeypatch):
+    want = [replica_stream(5, rep).random() for rep in range(7)]
+    for threads in ("1", "3"):
+        monkeypatch.setenv("ZRH_THREADS", threads)
+        assert map_replicas(lambda rng: rng.random(), 5, 7) == want
 
 
 class TestWorkerCount:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from zrhydro.engine import ModelParams
+from zrhydro.engine import GillespieLoop, ModelParams
 from zrhydro.oracle import (LinearCaseParams, correlation_field,
                             dual_rw_estimate, exact_linear_solution,
                             integrate_density_ode,
@@ -155,6 +155,19 @@ class TestKillingProbability:
         frac, se = killing_probability_experiment(params, 0, 2000,
                                                   replica_stream(6, 0))
         assert abs(frac - 2 / 3) <= 3 * se
+
+
+@pytest.mark.parametrize("factor", [1.2, 0.8])
+def test_killing_probability_sees_an_engine_fault(factor, monkeypatch):
+    # the walks are the engine's particles, so alpha scaled in the engine
+    # alone moves test_03's setting far outside its 3-se band
+    scale = GillespieLoop._origin_scale
+    monkeypatch.setattr(GillespieLoop, "_origin_scale",
+                        lambda self, f: scale(self, f * factor))
+    params = ModelParams(0.75, 1.0, 0.0, 100)
+    frac, se = killing_probability_experiment(params, 0, 10_000,
+                                              replica_stream(103, 0))
+    assert abs(frac - 2 / 3) > 3 * se
 
 
 class TestCorrelationField:

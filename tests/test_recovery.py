@@ -1,5 +1,6 @@
 """Recovery paths of the event loop on both kernels: empty-site picks,
-the event budget, the leak cap and the particle-balance audit."""
+the event budget, the leak cap, the rate audit and the particle-balance
+audit."""
 import numpy as np
 import pytest
 
@@ -8,7 +9,7 @@ from zrhydro.coupling import (BasicCouplingEngine, LabeledCouplingEngine,
                               PairConfiguration, SecondClassEngine)
 from zrhydro.engine import (Configuration, EventBudgetError, EventEngine,
                             GillespieLoop, LeakageError, ModelParams,
-                            SimulationError)
+                            RateConsistencyError, SimulationError)
 from zrhydro.rates import linear_rate
 from zrhydro.rng import replica_stream
 
@@ -178,3 +179,34 @@ def test_labeled_counts_origin_kills(monkeypatch, c_kernel):
     assert exits == 0 and kills > 0
     assert sum(int(k) for k in eng._omega) + kills == 303
     assert _state(eng) == _state(ref)
+
+
+def _emptying_window():
+    # 2,000 particles at the origin of an open window, as one killing-
+    # probability run of the dual walks at N = 50, beta = -0.5: by
+    # t = 46.4 each has died or left
+    occ = np.zeros(58, dtype=np.int64)
+    occ[29] = 2000
+    return EventEngine(Configuration(-29, occ),
+                       ModelParams(0.75, 1.0, -0.5, 50), linear_rate(),
+                       replica_stream(0, 0), leak_fraction=1.0)
+
+
+def test_emptied_window_passes_the_rate_audit(kernel):
+    # the running total started near 1.1e5 and ends a few 1e-9 from the
+    # rebuilt 0.0: that is rounding carried from the large totals, not
+    # drift, and the audit bound scales with the last rebuild's total
+    eng = _emptying_window()
+    rec = eng.run(46.4)
+    assert rec.kernel == kernel
+    assert eng.config.total_mass == 0 and eng._total == 0.0
+    assert rec.destroyed_count + rec.exited_left + rec.exited_right == 2000
+
+
+def test_rate_audit_still_sees_drift(kernel):
+    # a running total off by 1e-8 of the rebuilt one is drift
+    eng = _emptying_window()
+    eng._total *= 1 + 1e-8
+    assert eng.kernel == kernel
+    with pytest.raises(RateConsistencyError, match="running total"):
+        eng.run(0.01)
