@@ -28,14 +28,15 @@ reference: the engines the Python loop, ``pde`` and ``thermo`` their
 numpy code.
 
 ``-falign-loops=64`` starts every loop on a 64-byte boundary, so that the
-event loop's speed does not hang on where the code before it ends.  Two
-builds, loaded in one process and alternated on the same N = 400
-replicas, 40 pairs on a 2-CPU x86-64 host, showed why.  For two builds of
-one source the second was slower in 16 of 40 pairs.  Appending
-``zrh_kruzhkov`` without the flag moved ``zrh_run`` from 0x1280 to 0x1470
-and made it faster per event in 32 and 35 of 40.  With the flag on both
-sides, the appended routine was slower in 18 of 40, and the flag alone
-made the loop about 6% faster per event, in 39 of 40.
+event loop's speed does not hang on where the code before it ends.  On a
+2-CPU x86-64 host, appending a routine without the flag moved the loop
+and made it faster per event in 32 and 35 of 40 alternated pairs; the
+flag alone made it about 6% faster, in 39 of 40.
+
+Every array crosses into C through ``Array``: an entry point's pointer
+argument or a ``State`` pointer field takes only a C-contiguous numpy
+array of its element type, or None where C takes NULL; anything else
+raises TypeError before C runs (ctypes' ArgumentError on a call).
 """
 from __future__ import annotations
 
@@ -45,25 +46,61 @@ import threading
 import warnings
 from pathlib import Path
 
+import numpy as np
+
 SOURCE = Path(__file__).with_name("_kernel.c")
 COMPILER = "cc"
 FLAGS = ("-O2", "-ffp-contract=off", "-falign-loops=64", "-shared", "-fPIC")
 LIBS = ("-lm",)
 
-_i64, _f64, _ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-_int = ctypes.c_int
+_i64, _f64, _int = ctypes.c_int64, ctypes.c_double, ctypes.c_int
+
+
+class Array:
+    """The ctypes parameter type of a pointer to ``dtype`` elements."""
+
+    def __init__(self, dtype, null: bool = False):
+        self.dtype, self.null = np.dtype(dtype), null
+
+    def from_param(self, a):
+        """The address of ``a``'s data; None is NULL where ``null``."""
+        if a is None and self.null:
+            return None
+        if not (isinstance(a, np.ndarray) and a.dtype == self.dtype
+                and a.flags.c_contiguous):
+            got = (f"{a.dtype} array with strides {a.strides}"
+                   if isinstance(a, np.ndarray) else type(a).__name__)
+            raise TypeError(f"expected a C-contiguous {self.dtype} array, "
+                            f"got {got}")
+        if a.size and a.flags.writeable:
+            # the cheapest address, but for no empty or read-only array
+            return ctypes.c_void_p(ctypes.addressof(
+                ctypes.c_char.from_buffer(a)))
+        return ctypes.c_void_p(a.ctypes.data)
+
+
+F64, I64, F64_OR_NULL = Array(np.float64), Array(np.int64), \
+    Array(np.float64, null=True)
 
 
 class State(ctypes.Structure):
     """The kernel's ``zrh_state``; see ``_kernel.c``."""
 
+    #: the element type of each pointer field
+    _arrays = dict(gt=F64, scale=F64, rates=F64, tree=F64, a=I64, b=I64,
+                   cnt=I64, buf=F64)
     _fields_ = [(name, _i64) for name in
                 ("mode", "n", "origin", "closed", "guard")] + \
         [(name, _f64) for name in ("p", "d0", "conv", "leak_cap")] + \
-        [(name, _ptr) for name in
-         ("gt", "scale", "rates", "tree", "a", "b", "cnt", "buf")] + \
+        [(name, ctypes.c_void_p) for name in _arrays] + \
         [(name, _i64) for name in ("buf_n", "i", "events", "ev_max")] + \
         [(name, _f64) for name in ("t", "total", "t_stop")]
+
+    def share(self, **arrays):
+        """Point the named fields at these arrays, each checked as an
+        entry point's argument is."""
+        for name, a in arrays.items():
+            setattr(self, name, self._arrays[name].from_param(a))
 
 
 class KernelUnavailable(RuntimeError):
@@ -73,15 +110,16 @@ class KernelUnavailable(RuntimeError):
 #: (restype, argtypes) of each entry point; ``_kernel.c`` documents them
 ENTRY_POINTS = {
     "zrh_run": (None, [ctypes.POINTER(State)]),
-    "zrh_build": (None, [_ptr, _ptr, _i64]),
-    "zrh_interp": (None, [_ptr, _i64, _ptr, _ptr, _i64, _ptr]),
-    "zrh_march": (_int, [_ptr, _i64, _i64, _ptr, _ptr, _i64, _f64, _f64,
-                         _ptr, _ptr, _f64, _f64, _f64, _f64, _ptr]),
-    "zrh_density": (_int, [_ptr, _i64, _ptr, _f64, _i64, _ptr]),
-    "zrh_phi": (_int, [_ptr, _i64, _f64, _ptr, _f64, _i64, _f64, _ptr]),
-    "zrh_kruzhkov": (_int, [_ptr, _ptr, _ptr, _ptr, _i64, _i64, _ptr, _ptr,
-                            _i64, _i64, _f64, _f64, _ptr, _ptr, _ptr, _ptr,
-                            _ptr]),
+    "zrh_build": (None, [F64, F64, _i64]),
+    "zrh_interp": (None, [F64, _i64, F64, F64, _i64, F64]),
+    "zrh_march": (_int, [F64, _i64, _i64, F64, F64, _i64, _f64, _f64,
+                         F64_OR_NULL, F64_OR_NULL, _f64, _f64, _f64, _f64,
+                         F64]),
+    "zrh_density": (_int, [F64, _i64, F64, _f64, _i64, F64]),
+    "zrh_phi": (_int, [F64, _i64, _f64, F64, _f64, _i64, _f64, F64]),
+    "zrh_kruzhkov": (_int, [F64, F64, F64, F64, _i64, _i64, F64, F64, _i64,
+                            _i64, _f64, _f64, F64_OR_NULL, F64_OR_NULL, F64,
+                            F64, F64]),
 }
 
 #: the loaded library, or None after a failed load; unset until the first

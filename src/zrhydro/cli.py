@@ -350,7 +350,12 @@ def main(argv=None) -> int:
     pu.set_defaults(fn=cmd_suite)
 
     args = ap.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ValueError as e:
+        # a setting that the parser cannot judge: one line, as a bad flag
+        print(f"zrh {args.command}: error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -181,7 +181,7 @@ class SumTree:
         lib = None if isinstance(self.tree, list) else _ckernel.load()
         if lib is not None:
             self.values[:] = v
-            lib.zrh_build(self.values.ctypes.data, self.tree.ctypes.data, n)
+            lib.zrh_build(self.values, self.tree, n)
             return
         t = np.zeros(n + 1)
         k = 1
@@ -306,23 +306,19 @@ class GillespieLoop:
         self.kernel = "python" if lib is None else "c"
         if lib is not None:
             self._tree = SumTree(rates)
-            self._bind(lib.zrh_run)
+            st = _ckernel.State(mode=self._MODE, n=self._n,
+                                origin=self._origin, closed=self._closed,
+                                p=self.params.p, leak_cap=self._leak_cap,
+                                **self._kernel_fields())
+            a, b = (getattr(self, name) for name in self._OCC)
+            st.share(gt=self._gt, rates=self._tree.values,
+                     tree=self._tree.tree, cnt=self._cnt, scale=self._scale,
+                     a=a, b=b)
+            self._st, self._st_buf, self._kernel_run = st, None, lib.zrh_run
         else:
             self._tree = SumTree(rates.tolist())
             for name in dict.fromkeys(("_gt", "_scale", "_cnt") + self._OCC):
                 setattr(self, name, getattr(self, name).tolist())
-
-    def _bind(self, fn):
-        """Share the rate, tree, counter and state arrays with the kernel
-        and fill in its constants."""
-        st = _ckernel.State(mode=self._MODE, n=self._n, origin=self._origin,
-                            closed=self._closed, p=self.params.p,
-                            leak_cap=self._leak_cap, **self._kernel_fields())
-        st.gt, st.rates, st.tree, st.cnt, st.scale = (
-            a.ctypes.data for a in (self._gt, self._tree.values,
-                                    self._tree.tree, self._cnt, self._scale))
-        st.a, st.b = (getattr(self, name).ctypes.data for name in self._OCC)
-        self._st, self._st_buf, self._kernel_run = st, None, fn
 
     def _stretch(self, t, total, events, t_stop, ev_max):
         """Run compiled events from (t, total, events) up to the next one
@@ -338,7 +334,8 @@ class GillespieLoop:
         while True:
             if ub._buf is not self._st_buf:
                 self._st_buf = ub._buf
-                st.buf, st.buf_n = ub._buf.ctypes.data, len(ub._buf)
+                st.share(buf=ub._buf)
+                st.buf_n = len(ub._buf)
             st.i = ub._i
             self._kernel_run(st)
             ub._i = st.i

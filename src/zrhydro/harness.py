@@ -79,6 +79,8 @@ class ExperimentSpec:
         if self.replicas < 1:
             raise ValueError(f"replicas must be at least 1, got "
                              f"{self.replicas}")
+        if not self.times or min(self.times) < 0:
+            raise ValueError(f"times: need one or more >= 0, got {self.times}")
         # validate the pieces parse before any run starts
         rate_from_spec(self.rate)
         DensityProfile.from_spec(self.rho0, du=self.du)
@@ -200,11 +202,11 @@ def compare(spec: ExperimentSpec) -> ComparisonReport:
     for N in spec.N:
         params = spec.model_params(N)
         wall0 = _time.perf_counter()
-        replicas = run_replicas(spec, N, rho0, rate)
+        snaps = [dict(pr) for pr, _ in run_replicas(spec, N, rho0, rate)]
         replicas_time = _time.perf_counter() - wall0
-        for ti, t in enumerate(spec.times):
+        for t in spec.times:
             entry0 = _time.perf_counter()
-            profs = [pr[ti][1] for pr, _ in replicas]
+            profs = [snap[t] for snap in snaps]
             mean_vals = np.mean([p.values for p in profs], axis=0)
             mean_prof = DensityProfile(profs[0].u_min, profs[0].du, mean_vals)
             report.mean_profiles[(N, t)] = mean_prof

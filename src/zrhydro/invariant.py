@@ -58,25 +58,17 @@ class StationaryProfile:
         if res > RESIDUAL_TOL:
             raise ValueError(f"balance residual {res:g} above tolerance")
 
-    @property
-    def x_max(self) -> int:
-        return self.x_min + len(self.m) - 1
-
     def fugacity(self, x: int) -> float:
         return float(self.m[x - self.x_min])
 
     def residual(self) -> float:
         """Max violation of the discrete balance system on interior sites."""
-        p = self.params.p
-        aNb = self.params.destruction_factor
-        m = self.m
-        worst = 0.0
-        for i in range(1, len(m) - 1):
-            x = self.x_min + i
-            lhs = p * m[i - 1] + (1 - p) * m[i + 1]
-            target = (1 + aNb) * m[i] if x == 0 else m[i]
-            worst = max(worst, abs(lhs - target))
-        return worst
+        p, m = self.params.p, self.m
+        target = m[1:-1].copy()
+        if 0 < -self.x_min < len(m) - 1:
+            target[-self.x_min - 1] *= 1 + self.params.destruction_factor
+        lhs = p * m[:-2] + (1 - p) * m[2:]
+        return float(np.max(np.abs(lhs - target), initial=0.0))
 
 
 def maximal_admissible_window(params: ModelParams, c1: float, c2: float,
@@ -253,6 +245,9 @@ def stationarity_test(profile: StationaryProfile, rate: RateFunction,
     PASS when the replica-averaged time average of g(omega_x) is within
     3 standard errors of m_x at every requested site.
     """
+    if replicas == 1:
+        # map_replicas rejects fewer
+        raise ValueError("a standard error needs at least 2 replicas, got 1")
     params = profile.params
     sites = list(sites)
     idx = [x - profile.x_min for x in sites]

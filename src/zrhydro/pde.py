@@ -11,24 +11,14 @@ half-line solver supports a Dirichlet boundary density and the zero-flux
 condition, and the composition routine glues left and right problems
 across the origin in the three destruction regimes.
 
-The march checks as it goes.  The ghost column is read, and
-``phi_of``-range checked, in one call before the first step.  Each step
-then takes its new state's min and max once, and they drive the
-finiteness check, the maximum principle and the range check of the state
-the next step marches.  So a bad state fails the same check at the same
-step as under a per-step ``flux.F``; only a bad ghost fails earlier, before
-the first step.  So a ghost out of range fails ahead of a NaN ghost of an
-earlier step, which the per-step march met first.  Both range checks take
-their bounds from ``ThermoTable.range_bounds``.  The steps run in the
-compiled library when one loads (``_ckernel``); the numpy steps are the
-reference, and raise every error.  At beta = 0 the boundary map runs once
-per distinct value of the trace column.
-
-The Kruzhkov check's integrals also run in the compiled library
-(``zrh_kruzhkov``), which sums rows and the trapezoid in t as numpy does,
-so its entries equal those of the numpy reference, ``_kruzhkov_block``,
-bit for bit; the reference runs when no library loads and re-runs a
-failed call.
+The march checks as it goes (see ``_march``): a bad state fails the same
+check at the same step as under a per-step ``flux.F``, and a bad ghost
+fails before the first step.  Both range checks take their bounds from
+``ThermoTable.range_bounds``.  The steps, and the Kruzhkov check's
+integrals, run in the compiled library when one loads (``_ckernel``),
+bit for bit as the numpy code, which is the reference and raises every
+error.  At beta = 0 the boundary map runs once per distinct value of the
+trace column.
 """
 from __future__ import annotations
 
@@ -163,10 +153,12 @@ def _march(rho, flux, T, du, dt, left_ghost):
 
     The ghost column is read once, before the march, and its fluxes come
     from one ``flux.F`` call, whose range check so covers every ghost up
-    front.  The steps then run in the compiled library's ``zrh_march``
-    when one loads, else in ``_march_steps``, the numpy reference; a
-    compiled march that fails a check re-runs the reference, which raises
-    that check's error at its step.  The inflow and outflow sums follow.
+    front; a ghost out of range so fails ahead of a NaN ghost of an
+    earlier step.  The steps then run in the compiled library's
+    ``zrh_march`` when one loads, else in ``_march_steps``, the numpy
+    reference; a compiled march that fails a check re-runs the reference,
+    which raises that check's error at its step.  The inflow and outflow
+    sums follow.
     """
     n_steps = int(math.ceil(T / dt - 1e-12))
     lam = dt / du
@@ -180,9 +172,12 @@ def _march(rho, flux, T, du, dt, left_ghost):
         ghosts = np.array([float(left_ghost(n * dt))
                            for n in range(n_steps)])
         f_ins = flux.F(ghosts)
-    lib = _ckernel.load()
-    if lib is None or _march_compiled(lib, vals, flux, lam, ghosts, f_ins,
-                                      lo, hi):
+    lib, table = _ckernel.load(), flux.thermo
+    # zrh_march reads the table grid, phi_interp's, in place
+    if lib is None or lib.zrh_march(
+            vals, len(rho), n_steps, table.densities, table.zetas,
+            len(table.zetas), flux.drift, lam, ghosts, f_ins, lo, hi,
+            *table.range_bounds(), np.empty(len(rho))):
         _march_steps(vals, flux, lam, ghosts, f_ins, lo, hi)
     # the edge fluxes of each step, F of its first and last cells or its
     # ghost, summed in step order
@@ -190,22 +185,6 @@ def _march(rho, flux, T, du, dt, left_ghost):
     inflow = np.cumsum(np.concatenate([[0.0], dt * F_in]))
     outflow = np.cumsum(np.concatenate([[0.0], dt * flux.F(vals[:-1, -1])]))
     return vals, inflow, outflow
-
-
-def _march_compiled(lib, vals, flux, lam, ghosts, f_ins, lo, hi) -> int:
-    """``_march_steps`` in ``zrh_march``, on arrays it reads in place (the
-    table grid is ``phi_interp``'s); returns its status, 0 when every step
-    passed its checks."""
-    table = flux.thermo
-    n_cells = vals.shape[1]
-    scratch = np.empty(n_cells)
-    return lib.zrh_march(
-        vals.ctypes.data, n_cells, vals.shape[0] - 1,
-        table.densities.ctypes.data, table.zetas.ctypes.data,
-        len(table.zetas), flux.drift, lam,
-        None if ghosts is None else ghosts.ctypes.data,
-        None if f_ins is None else f_ins.ctypes.data,
-        lo, hi, *table.range_bounds(), scratch.ctypes.data)
 
 
 def _march_steps(vals, flux, lam, ghosts, f_ins, lo, hi):
@@ -417,7 +396,6 @@ class KruzhkovEntry:
 @dataclass
 class KruzhkovReport:
     entries: list
-    boundary_flux_integrals: np.ndarray = None
     smallest_M: float = None
 
     @property
@@ -475,19 +453,11 @@ def _kruzhkov_compiled(lib, rho, F_rho, H_t, H_u, cs, Fcs, semi, du, dt,
     """``_kruzhkov_block`` in ``zrh_kruzhkov``; None when the block's
     density, flux or boundary density, or an integral, is not finite, so
     that the reference runs."""
-    nt, nu = rho.shape
-    arrays = [np.ascontiguousarray(a, dtype=float)
-              for a in (rho, F_rho, H_t, H_u, cs, Fcs)]
-    if semi:
-        arrays += [np.ascontiguousarray(a, dtype=float)
-                   for a in (H_0, rho_bar)]
-    k = len(cs) * (2 if semi else 1)
-    scratch = np.empty(k * (nu + nt) + 2 * nt)
+    (nt, nu), k = rho.shape, len(cs) * (2 if semi else 1)
     I, B = np.empty(k), np.empty(k)
-    ptrs = [a.ctypes.data for a in arrays]
-    if lib.zrh_kruzhkov(*ptrs[:4], nt, nu, *ptrs[4:6], len(cs), int(semi),
-                        du, dt, *(ptrs[6:] if semi else (None, None)),
-                        scratch.ctypes.data, I.ctypes.data, B.ctypes.data):
+    if lib.zrh_kruzhkov(rho, F_rho, H_t, H_u, nt, nu, cs, Fcs, len(cs),
+                        int(semi), du, dt, H_0, rho_bar,
+                        np.empty(k * (nu + nt) + 2 * nt), I, B):
         return None
     return I.tolist(), B.tolist()
 
@@ -525,8 +495,8 @@ def kruzhkov_check(grid: PdeGrid, flux: FluxModel, boundary,
         raise ValueError("Dirichlet entropy check needs the constant M")
     forms = ("plus", "minus") if dirichlet else ("abs",)
     centers = grid.centers
-    cs = [float(c) for c in c_values]
-    Fcs = flux.F(np.array(cs)).tolist()
+    cs = np.array([float(c) for c in c_values])
+    Fcs = flux.F(cs)
     lib = _ckernel.load()
     entries, parts = [], []  # parts: (I, B, tol) of each entry
     for H in test_family:
@@ -539,7 +509,7 @@ def kruzhkov_check(grid: PdeGrid, flux: FluxModel, boundary,
         u0, u1 = H.u_support
         jmask = (centers + grid.du / 2 > u0) & (centers - grid.du / 2 < u1)
         us = centers[jmask]
-        rho = grid.values[n0:n1 + 1][:, jmask]
+        rho = grid.values[n0:n1 + 1].compress(jmask, axis=1)
         F_rho = flux.F(rho)
         H_t, H_u = H.dt(times[:, None], us), H.du(times[:, None], us)
         H_0 = rho_bar = None
@@ -553,14 +523,9 @@ def kruzhkov_check(grid: PdeGrid, flux: FluxModel, boundary,
         for k, (I, B) in enumerate(zip(Is, Bs)):
             parts.append((I, B, tol))
             entries.append(KruzhkovEntry(
-                H.name, cs[k // len(forms)], I + M * B if dirichlet else I,
-                tol, forms[k % len(forms)]))
+                H.name, float(cs[k // len(forms)]),
+                I + M * B if dirichlet else I, tol, forms[k % len(forms)]))
     report = KruzhkovReport(entries=entries)
-    if isinstance(boundary, ZeroFlux):
-        # influx diagnostic on the first few cells
-        report.boundary_flux_integrals = np.array([
-            float(np.trapezoid(np.abs(flux.F(grid.values[:, j])), dx=grid.dt))
-            for j in range(min(3, grid.n_cells))])
     if dirichlet:
         report.smallest_M = next(
             (float(m) for m in np.linspace(0.0, M, 21)

@@ -150,9 +150,8 @@ def mean_density(rate: RateFunction, zeta):
     if lib is not None:
         _check_fugacities(rate, flat)
         out = np.empty(flat.size)
-        if not lib.zrh_density(flat.ctypes.data, flat.size,
-                               _g_table(rate).ctypes.data, SERIES_TOL,
-                               TERM_BUDGET, out.ctypes.data):
+        if not lib.zrh_density(flat, flat.size, _g_table(rate), SERIES_TOL,
+                               TERM_BUDGET, out):
             return _like(out, z)
     # the reference, which raises the error a failed compiled series met
     Z, S = _series(rate, flat, weighted=True)
@@ -246,9 +245,8 @@ class ThermoTable:
         lib = _ckernel.load()
         if lib is not None:
             out = np.empty(flat.size)
-            if not lib.zrh_phi(flat.ctypes.data, flat.size, top,
-                               _g_table(self.rate).ctypes.data, SERIES_TOL,
-                               TERM_BUDGET, PHI_TOL, out.ctypes.data):
+            if not lib.zrh_phi(flat, flat.size, top, _g_table(self.rate),
+                               SERIES_TOL, TERM_BUDGET, PHI_TOL, out):
                 return _like(out, r)
         lo = np.zeros(flat.size)
         hi = np.full(flat.size, top)

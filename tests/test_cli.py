@@ -279,3 +279,22 @@ def test_no_replicas_is_a_usage_error(args, count, tmp_path, capsys):
     assert err.startswith(f"usage: zrh {args[0]}")
     assert "--replicas: must be a positive integer" in err
     assert not out.exists()
+
+
+def test_one_replica_cannot_validate(tmp_path, capsys):
+    # the standard error of one replica was nan, and every site failed
+    out = tmp_path / "inv.json"
+    rc = main(["invariant", "--p", "1.0", "--N", "40", "--m-plus", "1.0",
+               "--half-window", "10", "--validate", "--replicas", "1",
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "zrh invariant: error: a standard error needs at least 2 replicas, "
+        "got 1\n")
+    assert not out.exists()
+
+
+def test_negative_time_is_a_one_line_error(capsys):
+    assert main(["compare", "--N", "30", "--times", "0.4", "-0.1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("zrh compare: error: times") and err.count("\n") == 1

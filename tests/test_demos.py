@@ -1,4 +1,8 @@
-"""Every demo script runs to the end and prints its table."""
+"""Every demo script runs to the end and prints its table.
+
+Each demo runs once per test run; ``test_outputs.py`` pins the stdout of
+the same run."""
+import functools
 import os
 import subprocess
 import sys
@@ -10,16 +14,21 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
+@functools.cache
+def run_demo(demo: Path) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])])
+    return subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
 def test_demos_found():
     assert len(DEMOS) >= 4
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])])
-    done = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=300)
+    done = run_demo(demo)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()

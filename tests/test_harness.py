@@ -5,6 +5,7 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from zrhydro import harness
@@ -46,6 +47,11 @@ class TestExperimentSpec:
             ExperimentSpec(name="x", N=(30,), times=(0.1,),
                            replicas=replicas)
 
+    @pytest.mark.parametrize("times", [(), (0.4, -0.1)])
+    def test_times_rejected(self, times):
+        with pytest.raises(ValueError, match="times"):
+            ExperimentSpec(name="x", times=times)
+
     def test_exclusions(self):
         spec = ExperimentSpec(name="x", p=0.75, delta=0.1)
         (a, b), (c, d) = spec.exclusions(1.0)
@@ -80,6 +86,16 @@ def test_entry_points_reject_no_replicas(entry, replicas):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="replicas must be at least 1"):
             NO_REPLICAS[entry](replicas)
+
+
+def test_stationarity_needs_two_replicas():
+    # one replica gave a nan standard error, with a RuntimeWarning, and
+    # failed every site
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="at least 2 replicas"):
+            _stationarity(1)
+    assert _stationarity(2).replicas == 2
 
 
 def test_map_replicas_seeds_each_replica_in_order(monkeypatch):
@@ -164,6 +180,19 @@ class TestCompare:
         write_density_csv(path, rep)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "e1583f062bd2ca939605755a0e0f17a0d7ed11f32ab5b29dc99ab210eaedb4eb")
+
+    def test_entries_pair_with_their_own_times(self):
+        # unsorted times once paired each entry with the snapshot at the
+        # position of its time: the t = 0.8 row held the t = 0.4 profile
+        runs = [compare(ExperimentSpec(name="x", N=(50,), times=times,
+                                       replicas=2, seed=3))
+                for times in ((0.8, 0.4), (0.4, 0.8))]
+        for t in (0.4, 0.8):
+            a, b = (r.mean_profiles[(50, t)].values for r in runs)
+            assert np.array_equal(a, b)
+        entries = [{e.t: e.distance for e in r.entries} for r in runs]
+        assert entries[0] == entries[1]
+        assert [e.t for e in runs[0].entries] == [0.8, 0.4]
 
     def test_run_replicas_keeps_each_record(self):
         spec = ExperimentSpec(name="rec", N=(30,), times=(0.1, 0.2),
@@ -294,6 +323,12 @@ class TestSuiteFiles:
         f = tmp_path / "s.suite"
         f.write_text(SUITE_OK + "\nname = empty\nN = 30\nreplicas = 0\n")
         with pytest.raises(SuiteParseError, match="line 14: replicas"):
+            parse_suite(f)
+
+    def test_negative_time_reported(self, tmp_path):
+        f = tmp_path / "s.suite"
+        f.write_text(SUITE_OK + "\nname = past\ntimes = 0.4,-0.1\n")
+        with pytest.raises(SuiteParseError, match="line 14: times"):
             parse_suite(f)
 
     def test_missing_equals(self, tmp_path):

@@ -5,8 +5,11 @@ occupations, counters, event count, clock, running total rate, and how
 far the random stream was read.  The runs here are long enough to cross
 two uniform-buffer refills and several audits.  The sum-tree build and
 the march's interpolation must match numpy's to the bit; the march and
-the series are checked in ``test_pde`` and ``test_thermo``.
+the series are checked in ``test_pde`` and ``test_thermo``.  Every pointer
+argument of an entry point, and every pointer field of the loop's state,
+takes only a C-contiguous array of its element type.
 """
+import ctypes
 import os
 import shutil
 import subprocess
@@ -29,6 +32,7 @@ from zrhydro.engine import (CallbackObserver, Configuration, EventEngine,
 from zrhydro.profiles import DensityProfile
 from zrhydro.rates import rate_from_spec
 from zrhydro.rng import FIRST_BLOCK, UniformBlock, replica_stream
+from zrhydro.thermo import mean_density
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 #: events per full-size buffer refill: four uniforms per event
@@ -331,8 +335,7 @@ def test_interp_is_numpys(c_kernel):
         with np.errstate(all="ignore"):
             want = np.interp(x, INTERP_XP, fp)
         got = np.empty_like(x)
-        lib.zrh_interp(x.ctypes.data, len(x), INTERP_XP.ctypes.data,
-                       fp.ctypes.data, len(INTERP_XP), got.ctypes.data)
+        lib.zrh_interp(x, len(x), INTERP_XP, fp, len(INTERP_XP), got)
         assert [v.hex() for v in got.tolist()] == [
             v.hex() for v in want.tolist()]
 
@@ -344,11 +347,8 @@ def _kruzhkov_integral(lib, ht, dt):
     ones, zeros, c = np.ones((nt, nu)), np.zeros((nt, nu)), np.zeros(1)
     scratch = np.empty(nu + 3 * nt)
     I, B = np.empty(1), np.empty(1)
-    status = lib.zrh_kruzhkov(ones.ctypes.data, zeros.ctypes.data,
-                              ht.ctypes.data, zeros.ctypes.data, nt, nu,
-                              c.ctypes.data, c.ctypes.data, 1, 0, 1.0, dt,
-                              None, None, scratch.ctypes.data,
-                              I.ctypes.data, B.ctypes.data)
+    status = lib.zrh_kruzhkov(ones, zeros, ht, zeros, nt, nu, c, c, 1, 0,
+                              1.0, dt, None, None, scratch, I, B)
     assert status == 0
     return float(I[0])
 
@@ -366,3 +366,83 @@ def test_kruzhkov_sums_are_numpys(c_kernel):
         want = float(np.trapezoid(row, dx=0.01)) if n > 1 else 0.0
         got = _kruzhkov_integral(lib, row[:, None].copy(), 0.01)
         assert got.hex() == want.hex(), n
+
+
+KINDS = ("float32", "strided", "other type", "list")
+
+
+def _bad(kind, dtype):
+    """An argument that a pointer to ``dtype`` elements does not take: the
+    wrong element type, a strided view, or no array at all."""
+    other = np.int64 if dtype == np.float64 else np.float64
+    return {"float32": np.zeros(8, np.float32),
+            "strided": np.zeros(16, dtype)[::2],
+            "other type": np.zeros(8, other), "list": [0] * 8}[kind]
+
+
+def _arguments(argtypes):
+    """Valid arguments of these types that make the C code read nothing:
+    every count is 0."""
+    return [np.zeros(8) if isinstance(t, _ckernel.Array) else t(0)
+            for t in argtypes]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("name", sorted(set(_ckernel.ENTRY_POINTS)
+                                        - {"zrh_run"}))
+def test_entry_points_take_only_contiguous_float64_arrays(name, kind,
+                                                          c_kernel):
+    # ctypes reports a parameter type's TypeError as an ArgumentError that
+    # names the argument; no C code runs
+    fn = getattr(_ckernel.load(), name)
+    argtypes = _ckernel.ENTRY_POINTS[name][1]
+    slots = [i for i, t in enumerate(argtypes)
+             if isinstance(t, _ckernel.Array)]
+    assert slots
+    for i in slots:
+        args = _arguments(argtypes)
+        args[i] = _bad(kind, np.float64)
+        with pytest.raises(ctypes.ArgumentError,
+                           match=rf"argument {i + 1}: TypeError: expected a "
+                                 "C-contiguous float64 array"):
+            fn(*args)
+        args[i] = None
+        if not argtypes[i].null:
+            with pytest.raises(ctypes.ArgumentError, match="TypeError"):
+                fn(*args)
+
+
+def test_null_only_where_the_kernel_takes_it(c_kernel):
+    nullable = {name: [i for i, t in enumerate(types)
+                       if getattr(t, "null", False)]
+                for name, (_, types) in _ckernel.ENTRY_POINTS.items()}
+    assert {k: v for k, v in nullable.items() if v} == {
+        "zrh_march": [8, 9], "zrh_kruzhkov": [12, 13]}
+    args = _arguments(_ckernel.ENTRY_POINTS["zrh_march"][1])
+    args[8] = args[9] = None
+    assert _ckernel.load().zrh_march(*args) == 0
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("field", sorted(_ckernel.State._arrays))
+def test_state_fields_take_only_their_element_type(field, kind):
+    dtype = _ckernel.State._arrays[field].dtype
+    st = _ckernel.State()
+    st.share(**{field: np.zeros(8, dtype)})
+    held = getattr(st, field)
+    with pytest.raises(TypeError, match=f"expected a C-contiguous {dtype} "
+                                        "array"):
+        st.share(**{field: _bad(kind, dtype)})
+    assert getattr(st, field) == held
+
+
+def test_empty_and_read_only_arrays_cross(c_kernel, monkeypatch):
+    # ctypes.c_char.from_buffer takes neither, so they pass by the address
+    # numpy reports; the compiled R(zeta) then matches the reference
+    ro = np.linspace(0.0, 3.0, 7)
+    ro.flags.writeable = False
+    assert _ckernel.F64.from_param(ro).value == ro.ctypes.data
+    rate, arrays = rate_from_spec("linear"), (ro, np.zeros(0))
+    got = [mean_density(rate, a).tolist() for a in arrays]
+    monkeypatch.setattr(_ckernel, "load", lambda: None)
+    assert got == [mean_density(rate, a).tolist() for a in arrays]
