@@ -3,10 +3,10 @@
 The library holds the engines' event loop (``zrh_run``), the sum-tree
 build (``zrh_build``), and the PDE layer's upwind march (``zrh_march``,
 with ``zrh_interp``), Phi/R series (``zrh_phi``, ``zrh_density``) and
-Kruzhkov entropy integrals (``zrh_kruzhkov``, which repeats numpy's
-pairwise row sums and ``np.trapezoid``).  Each repeats its Python
-reference bit for bit; the reference raises every error, and runs
-everything when no library loads.
+Kruzhkov integrals (``zrh_kruzhkov``, one test function's grid window in
+place, with numpy's pairwise row sums and ``np.trapezoid``).  Each repeats
+its Python reference bit for bit; the reference raises every error, and
+runs everything when no library loads.
 
 The library is compiled on first use with the system C compiler ``cc``
 and loaded with ``ctypes``; nothing happens at import.  The shared library
@@ -117,9 +117,10 @@ ENTRY_POINTS = {
                          F64]),
     "zrh_density": (_int, [F64, _i64, F64, _f64, _i64, F64]),
     "zrh_phi": (_int, [F64, _i64, _f64, F64, _f64, _i64, _f64, F64]),
-    "zrh_kruzhkov": (_int, [F64, F64, F64, F64, _i64, _i64, F64, F64, _i64,
-                            _i64, _f64, _f64, F64_OR_NULL, F64_OR_NULL, F64,
-                            F64, F64]),
+    "zrh_kruzhkov": (_int, [F64, _i64, _i64, _i64, _i64, F64, F64, F64, F64,
+                            _f64, F64, F64, _i64, _f64, _f64, _f64,
+                            F64_OR_NULL, _i64, _i64, F64, F64, _i64, _f64,
+                            _f64, _f64, F64, F64, F64]),
 }
 
 #: the loaded library, or None after a failed load; unset until the first

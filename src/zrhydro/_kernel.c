@@ -346,13 +346,19 @@ void zrh_build(const double *values, double *tree, int64_t n)
 /* np.interp(x, xp, fp) for m >= 2 increasing xp, as numpy computes it:
  * the same branches in the same order, the same slope and the same NaN
  * fallback.  Like numpy, the search for x[i] starts at the cell of x[i-1];
- * for increasing xp the cell found does not depend on where it starts. */
+ * for increasing xp the cell found does not depend on where it starts.
+ * x[i] equal to x[i-1] takes its value, which depends on x[i] alone (a
+ * zero of either sign takes the same branches to the same value). */
 void zrh_interp(const double *x, int64_t n, const double *xp,
                 const double *fp, int64_t m, double *out)
 {
     int64_t lo = 0;
     for (int64_t i = 0; i < n; i++) {
         double v = x[i];
+        if (i > 0 && v == x[i - 1]) {
+            out[i] = out[i - 1];
+            continue;
+        }
         if (isnan(v)) {
             out[i] = v;
             continue;
@@ -366,12 +372,28 @@ void zrh_interp(const double *x, int64_t n, const double *xp,
             continue;
         }
         /* the last lo with xp[lo] <= v: keep the last cell if it holds v,
-         * else bisect the side of it that does */
+         * else gallop from it, by steps that double, to a bracket
+         * xp[lo] <= v < xp[hi], and bisect that */
         if (!(xp[lo] <= v && v < xp[lo + 1])) {
-            int64_t hi = m - 1;
-            if (v < xp[lo]) {
+            int64_t hi, step = 1;
+            if (v >= xp[lo + 1]) {
+                lo = lo + 1;
+                hi = lo + 1;
+                while (hi < m - 1 && xp[hi] <= v) {
+                    lo = hi;
+                    hi = lo + (step *= 2);
+                }
+                if (hi > m - 1)
+                    hi = m - 1;
+            } else {
                 hi = lo;
-                lo = 0;
+                lo = hi - 1;
+                while (lo > 0 && xp[lo] > v) {
+                    hi = lo;
+                    lo = hi - (step *= 2);
+                }
+                if (lo < 0)
+                    lo = 0;
             }
             while (hi - lo > 1) {
                 int64_t mid = lo + (hi - lo) / 2;
@@ -575,18 +597,9 @@ static double positive(double x)
     return 0.5 * (x + fabs(x));
 }
 
-/* 1 when a[0..n) holds a NaN or an infinity, else 0 */
-static int nonfinite(const double *a, int64_t n)
-{
-    int bad = 0;
-    for (int64_t i = 0; i < n; i++)
-        bad |= !isfinite(a[i]);
-    return bad;
-}
-
 /* Terms a (r - c)+ + b (f - fc)+ into plus and a (c - r)+ + b (fc - f)+
- * into minus, for j < n; two cells a pass, which the compiler can pair in
- * vector registers. */
+ * into minus, for j < n; (-x)+ is (x)+ - x, exactly.  Two cells a pass,
+ * which the compiler can pair in vector registers. */
 static void semi_terms(const double *restrict r, const double *restrict f,
                        const double *restrict a, const double *restrict b,
                        double c, double fc, int64_t n, double *restrict plus,
@@ -596,16 +609,18 @@ static void semi_terms(const double *restrict r, const double *restrict f,
     for (; j + 1 < n; j += 2) {
         double dr0 = r[j] - c, dr1 = r[j + 1] - c;
         double df0 = f[j] - fc, df1 = f[j + 1] - fc;
-        plus[j] = a[j] * positive(dr0) + b[j] * positive(df0);
-        plus[j + 1] = a[j + 1] * positive(dr1) + b[j + 1] * positive(df1);
-        minus[j] = a[j] * positive(-dr0) + b[j] * positive(-df0);
-        minus[j + 1] = a[j + 1] * positive(-dr1)
-                       + b[j + 1] * positive(-df1);
+        double pr0 = positive(dr0), pr1 = positive(dr1);
+        double pf0 = positive(df0), pf1 = positive(df1);
+        plus[j] = a[j] * pr0 + b[j] * pf0;
+        plus[j + 1] = a[j + 1] * pr1 + b[j + 1] * pf1;
+        minus[j] = a[j] * (pr0 - dr0) + b[j] * (pf0 - df0);
+        minus[j + 1] = a[j + 1] * (pr1 - dr1) + b[j + 1] * (pf1 - df1);
     }
     for (; j < n; j++) {
         double dr = r[j] - c, df = f[j] - fc;
-        plus[j] = a[j] * positive(dr) + b[j] * positive(df);
-        minus[j] = a[j] * positive(-dr) + b[j] * positive(-df);
+        double pr = positive(dr), pf = positive(df);
+        plus[j] = a[j] * pr + b[j] * pf;
+        minus[j] = a[j] * (pr - dr) + b[j] * (pf - df);
     }
 }
 
@@ -624,42 +639,60 @@ static void abs_terms(const double *restrict r, const double *restrict f,
         out[j] = a[j] * fabs(r[j] - c) + b[j] * fabs(f[j] - fc);
 }
 
-/* The integrals of pde._kruzhkov_block for one test function's block of
- * nt rows by nu cells: rho and F its density and flux, ht and hu the
- * derivatives of H.  Entry k = ic * forms + f takes c = cs[ic] with F(c)
- * = fcs[ic] and form f: |x| when semi is 0, else (x)+ then (-x)+.  Each
- * row forms every entry's terms H_t tr(rho - c) + H_u tr(F - F(c)) in one
- * sweep, then sums each entry's row as np.sum does and scales it by du;
- * I[k] is the trapezoid of those row sums in t.  With semi, B[k] is the
- * trapezoid of h0 tr(rho_bar - c), else 0.  scratch holds
- * entries * (nu + nt) + 2 nt.  Returns 0, or 1, with I and B unset or
- * not finite, when rho, F or rho_bar holds a non-finite value or an
- * integral is not finite. */
-int zrh_kruzhkov(const double *rho, const double *F, const double *ht,
-                 const double *hu, int64_t nt, int64_t nu, const double *cs,
-                 const double *fcs, int64_t nc, int64_t semi, double du,
-                 double dt, const double *h0, const double *rho_bar,
-                 double *scratch, double *I, double *B)
+/* The integrals of pde._kruzhkov_block for one test function H, read in
+ * place, with the block's inputs in that function's order.  The block is
+ * the nt rows from n0 by the nu cells from j0 of the grid vals, whose rows
+ * lie stride apart; nc counts the cs.  Each row is range-checked, its
+ * flux F = drift * interp(rho, xp, fp) formed as zrh_march forms it, and
+ * its derivatives of H formed from 1-d factors: H_t = ta[n] * ub[j] and
+ * H_u = (tc[n] * ud[j]) / wu.  Entry k = ic * forms + f takes c = cs[ic]
+ * with F(c) = fcs[ic] and form f: |x| when semi is 0, else (x)+ then
+ * (-x)+.  Each row forms each entry's terms H_t tr(rho - c) + H_u tr(F -
+ * F(c)), then sums them as np.sum does and scales the sum by du; I[k] is
+ * the trapezoid of those row sums in t.  With semi, B[k] is the trapezoid
+ * of H(t, 0) tr(rho_bar - c), with H(t, 0) = tc[n] * h0u and
+ * rho_bar[n0 + n] the boundary density of grid row n0 + n; else B[k] is
+ * 0.  scratch holds entries * nt + 5 nu + 2 nt.  Returns 0, or 1, with I
+ * and B unset or not finite, when a density is NaN or outside [range_lo,
+ * range_hi] or an integral is not finite, as a non-finite boundary
+ * density makes its B. */
+int zrh_kruzhkov(const double *vals, int64_t n0, int64_t nt, int64_t j0,
+                 int64_t nu, const double *ta, const double *ub,
+                 const double *tc, const double *ud, double wu,
+                 const double *cs, const double *fcs, int64_t semi,
+                 double du, double dt, double h0u, const double *rho_bar,
+                 int64_t stride, int64_t nc, const double *xp,
+                 const double *fp, int64_t m, double drift, double range_lo,
+                 double range_hi, double *scratch, double *I, double *B)
 {
     int64_t forms = semi ? 2 : 1, entries = nc * forms;
-    double *terms = scratch, *rows = terms + entries * nu;
-    double *y = rows + entries * nt, *tmp = y + nt;
-    if (nonfinite(rho, nt * nu) || nonfinite(F, nt * nu)
-        || (semi && nonfinite(rho_bar, nt)))
-        return 1;
+    double *t0 = scratch, *t1 = t0 + nu, *rows = t1 + nu;
+    double *f = rows + entries * nt, *a = f + nu, *b = a + nu;
+    double *y = b + nu, *tmp = y + nt;
     for (int64_t n = 0; n < nt; n++) {
-        const double *r = rho + n * nu, *f = F + n * nu;
-        const double *a = ht + n * nu, *b = hu + n * nu;
+        const double *r = vals + (n0 + n) * stride + j0;
+        int in_range = 1;
+        for (int64_t j = 0; j < nu; j++)
+            in_range &= (r[j] >= range_lo) & (r[j] <= range_hi);
+        if (!in_range)
+            return 1;
+        zrh_interp(r, nu, xp, fp, m, f);
+        for (int64_t j = 0; j < nu; j++) {
+            f[j] = drift * f[j];
+            a[j] = ta[n] * ub[j];
+            b[j] = (tc[n] * ud[j]) / wu;
+        }
         for (int64_t ic = 0; ic < nc; ic++) {
             double c = cs[ic], fc = fcs[ic];
-            double *t0 = terms + ic * forms * nu, *t1 = t0 + nu;
+            double *row = rows + ic * forms * nt + n;
             if (semi)
                 semi_terms(r, f, a, b, c, fc, nu, t0, t1);
             else
                 abs_terms(r, f, a, b, c, fc, nu, t0);
+            row[0] = (0.0 + pairwise(t0, nu)) * du;
+            if (semi)
+                row[nt] = (0.0 + pairwise(t1, nu)) * du;
         }
-        for (int64_t k = 0; k < entries; k++)
-            rows[k * nt + n] = (0.0 + pairwise(terms + k * nu, nu)) * du;
     }
     int bad = 0;
     for (int64_t k = 0; k < entries; k++) {
@@ -668,8 +701,8 @@ int zrh_kruzhkov(const double *rho, const double *F, const double *ht,
         if (semi) {
             double c = cs[k / 2];
             for (int64_t n = 0; n < nt; n++) {
-                double d = rho_bar[n] - c;
-                y[n] = h0[n] * positive(k % 2 ? -d : d);
+                double d = rho_bar[n0 + n] - c;
+                y[n] = (tc[n] * h0u) * positive(k % 2 ? -d : d);
             }
             B[k] = trapezoid(y, nt, dt, tmp);
         }

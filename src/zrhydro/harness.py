@@ -326,19 +326,20 @@ def parse_suite(path) -> list[ExperimentSpec]:
 
 
 def run_suite(path, out_dir=None) -> int:
-    """Run every experiment in the suite; exit code 0 iff all pass."""
-    specs = parse_suite(path)
-    all_passed = True
-    lines = []
-    for spec in specs:
+    """Run every experiment in the suite, printing each block's summary
+    lines as it finishes; exit code 0 iff all pass."""
+    all_passed, printed = True, False
+    for spec in parse_suite(path):
         report = compare(spec)
-        lines.extend(report.summary_lines())
+        for line in report.summary_lines():
+            print(line, flush=True)
+            printed = True
         if out_dir is not None:
             os.makedirs(out_dir, exist_ok=True)
             base = os.path.join(out_dir, spec.name)
             write_density_csv(base + ".csv", report)
             write_report_json(base + ".json", report)
-        if not report.passed:
-            all_passed = False
-    print("\n".join(lines) if lines else "empty suite")
+        all_passed &= report.passed
+    if not printed:
+        print("empty suite")
     return 0 if all_passed else 1

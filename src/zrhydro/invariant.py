@@ -243,7 +243,8 @@ def stationarity_test(profile: StationaryProfile, rate: RateFunction,
     measure, runs the destruction dynamics on the profile's window with
     open boundaries, and records g(omega_x) at equally spaced times.
     PASS when the replica-averaged time average of g(omega_x) is within
-    3 standard errors of m_x at every requested site.
+    3 standard errors of m_x at every requested site; a zero-width band
+    raises ValueError.
     """
     if replicas == 1:
         # map_replicas rejects fewer
@@ -273,6 +274,9 @@ def stationarity_test(profile: StationaryProfile, rate: RateFunction,
     stats = []
     for j, x in enumerate(sites):
         se = float(gvals[:, j].std(ddof=1) / math.sqrt(replicas))
+        if se == 0.0:
+            raise ValueError(f"site x = {x}: every replica read the same "
+                             "average of g, so se = 0; use more replicas")
         stats.append(SiteStatistic(
             x=x, target=profile.fugacity(x),
             mean_g=float(gvals[:, j].mean()), se_g=se))

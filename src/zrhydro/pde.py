@@ -13,12 +13,13 @@ across the origin in the three destruction regimes.
 
 The march checks as it goes (see ``_march``): a bad state fails the same
 check at the same step as under a per-step ``flux.F``, and a bad ghost
-fails before the first step.  Both range checks take their bounds from
-``ThermoTable.range_bounds``.  The steps, and the Kruzhkov check's
-integrals, run in the compiled library when one loads (``_ckernel``),
-bit for bit as the numpy code, which is the reference and raises every
-error.  At beta = 0 the boundary map runs once per distinct value of the
-trace column.
+fails before the first step.  The march, and each test function's
+Kruzhkov integrals in one pass over the grid in place, run in the
+compiled library when one loads (``_ckernel``), bit for bit as the numpy
+code, which is the reference and raises every error; their range checks
+take their bounds from ``ThermoTable.range_bounds``.  A boundary trace
+is read as one column per march or check, and at beta = 0 the boundary
+map runs once per distinct value of that column.
 """
 from __future__ import annotations
 
@@ -102,9 +103,8 @@ class PdeGrid:
         return self.u_min + self.du * (np.arange(self.n_cells) + 0.5)
 
     def at_time(self, t: float) -> DensityProfile:
-        n = int(round(t / self.dt))
-        n = min(max(n, 0), self.values.shape[0] - 1)
-        return DensityProfile(self.u_min, self.du, self.values[n])
+        return DensityProfile(self.u_min, self.du,
+                              _RowLookup(self.values, self.dt)(t))
 
     def mass(self) -> np.ndarray:
         return self.values.sum(axis=1) * self.du
@@ -130,16 +130,29 @@ def _check_cfl(flux: FluxModel, du: float, dt: float):
 
 @dataclass
 class DirichletDensity:
-    """Left-boundary density trace t -> rho(t, 0)."""
+    """Left-boundary density trace t -> rho(t, 0): a constant, a callable
+    or the row lookup of ``compose_theorem_solution``."""
 
     trace: object
 
     def value(self, t: float) -> float:
-        return float(self.trace(t)) if callable(self.trace) else float(self.trace)
+        return float(self.column([t])[0])
+
+    def column(self, times) -> np.ndarray:
+        """The trace at each of ``times``: a constant fills it, the row lookup
+        reads it in one step, any other callable is called once a time."""
+        times = np.asarray(times, dtype=float)
+        if isinstance(self.trace, _RowLookup):
+            return self.trace(times)
+        if callable(self.trace):
+            return np.array([float(self.trace(t)) for t in times.tolist()])
+        return np.full(len(times), float(self.trace))
 
 
 class ZeroFlux:
     """Left boundary with no influx: ghost density 0, F(0) = 0."""
+
+    trace = 0.0
 
 
 # -- solvers -------------------------------------------------------------
@@ -148,8 +161,8 @@ class ZeroFlux:
 def _march(rho, flux, T, du, dt, left_ghost):
     """Upwind time marching; returns (values, inflow, outflow) arrays.
 
-    ``left_ghost``: callable t -> ghost density left of the first cell,
-    or None for zero-gradient extension.
+    ``left_ghost``: a ``DirichletDensity`` trace of the ghost density left
+    of the first cell, or None for zero-gradient extension.
 
     The ghost column is read once, before the march, and its fluxes come
     from one ``flux.F`` call, whose range check so covers every ghost up
@@ -169,8 +182,7 @@ def _march(rho, flux, T, du, dt, left_ghost):
     lo, hi = float(np.fmin.reduce(rho)), float(np.fmax.reduce(rho))
     ghosts = f_ins = None
     if left_ghost is not None:
-        ghosts = np.array([float(left_ghost(n * dt))
-                           for n in range(n_steps)])
+        ghosts = DirichletDensity(left_ghost).column(np.arange(n_steps) * dt)
         f_ins = flux.F(ghosts)
     lib, table = _ckernel.load(), flux.thermo
     # zrh_march reads the table grid, phi_interp's, in place
@@ -225,6 +237,16 @@ def _march_steps(vals, flux, lam, ghosts, f_ins, lo, hi):
             raise PdeError("maximum principle violated")
 
 
+def _solve(init: DensityProfile, flux: FluxModel, T: float, du: float,
+           left_ghost) -> PdeGrid:
+    """``_march`` from ``init`` on the largest CFL-stable step."""
+    dt = _stable_dt(flux, du, T)
+    _check_cfl(flux, du, dt)
+    vals, inflow, outflow = _march(init.values, flux, T, du, dt, left_ghost)
+    return PdeGrid(u_min=init.u_min, du=du, dt=dt, values=vals,
+                   inflow=inflow, outflow=outflow)
+
+
 def solve_whole_line(rho0: DensityProfile, flux: FluxModel, T: float,
                      du: float | None = None,
                      domain: tuple[float, float] | None = None) -> PdeGrid:
@@ -240,14 +262,7 @@ def solve_whole_line(rho0: DensityProfile, flux: FluxModel, T: float,
         pad = 2 * du
         domain = (rho0.u_min - pad,
                   rho0.u_max + flux.flux_lipschitz * T + pad)
-    u_lo, u_hi = domain
-    init = rho0.resample(u_lo, u_hi, du)
-    dt = _stable_dt(flux, du, T)
-    _check_cfl(flux, du, dt)
-    vals, inflow, outflow = _march(init.values, flux, T, du, dt,
-                                   left_ghost=None)
-    return PdeGrid(u_min=u_lo, du=du, dt=dt, values=vals,
-                   inflow=inflow, outflow=outflow)
+    return _solve(rho0.resample(*domain, du), flux, T, du, None)
 
 
 def solve_half_line(rho0: DensityProfile, flux: FluxModel, boundary,
@@ -263,20 +278,9 @@ def solve_half_line(rho0: DensityProfile, flux: FluxModel, boundary,
         du = rho0.du
     if u_max is None:
         u_max = max(rho0.u_max, 0.0) + flux.flux_lipschitz * T + 2 * du
-    init = rho0.resample(0.0, u_max, du)
-    dt = _stable_dt(flux, du, T)
-    _check_cfl(flux, du, dt)
-    if isinstance(boundary, DirichletDensity):
-        ghost = boundary.value
-    elif isinstance(boundary, ZeroFlux):
-        def ghost(t):
-            return 0.0
-    else:
+    if not isinstance(boundary, (DirichletDensity, ZeroFlux)):
         raise ValueError("half-line solve needs Dirichlet or zero-flux data")
-    vals, inflow, outflow = _march(init.values, flux, T, du, dt,
-                                   left_ghost=ghost)
-    return PdeGrid(u_min=0.0, du=du, dt=dt, values=vals,
-                   inflow=inflow, outflow=outflow)
+    return _solve(rho0.resample(0.0, u_max, du), flux, T, du, boundary.trace)
 
 
 def _boundary_density(rho_left, params: ModelParams, thermo: ThermoTable):
@@ -288,19 +292,21 @@ def _boundary_density(rho_left, params: ModelParams, thermo: ThermoTable):
 def boundary_density_from_left_trace(left_trace, params: ModelParams,
                                      thermo: ThermoTable):
     """Boundary density R((2p-1) Phi(rho_L(t,0)) / (2p-1 + alpha))."""
-    def rho_bar(t: float) -> float:
-        v = left_trace(t) if callable(left_trace) else float(left_trace)
-        return _boundary_density(float(v), params, thermo)
-    return rho_bar
+    trace = DirichletDensity(left_trace)
+    return lambda t: _boundary_density(trace.value(t), params, thermo)
 
 
-def _row_lookup(column: np.ndarray, dt: float):
-    """t -> column[round(t / dt)], clamped to the column's rows."""
-    last = len(column) - 1
+class _RowLookup:
+    """t -> column[round(t / dt)], clamped to its rows, for one time or an
+    array; np.rint rounds half to even, as round does."""
 
-    def at(t: float) -> float:
-        return float(column[min(max(int(round(t / dt)), 0), last)])
-    return at
+    def __init__(self, column: np.ndarray, dt: float):
+        self.column, self.dt = column, dt
+
+    def __call__(self, t):
+        n = np.clip(np.rint(np.asarray(t) / self.dt), 0, len(self.column) - 1)
+        v = self.column[n.astype(np.intp)]
+        return v if np.ndim(v) else float(v)
 
 
 def _left_column(grid: PdeGrid) -> np.ndarray:
@@ -313,7 +319,7 @@ def _left_column(grid: PdeGrid) -> np.ndarray:
 
 def left_trace_from_grid(grid: PdeGrid):
     """Trace of a whole-line grid at 0^-, as a function of time."""
-    return _row_lookup(_left_column(grid), grid.dt)
+    return _RowLookup(_left_column(grid), grid.dt)
 
 
 @dataclass
@@ -366,7 +372,7 @@ def compose_theorem_solution(beta: float, rho0: DensityProfile,
     if beta == 0:
         # the column repeats its values; map each distinct one once
         levels, rows = np.unique(_left_column(whole), return_inverse=True)
-        rho_bar = _row_lookup(
+        rho_bar = _RowLookup(
             _boundary_density(levels, params, thermo)[rows], whole.dt)
         right = solve_half_line(rho0_right, flux, DirichletDensity(rho_bar),
                                 T, du=du, u_max=domain[1])
@@ -423,43 +429,31 @@ def _trapezoid(rows, dt: float) -> float:
     return float(np.trapezoid(rows, dx=dt)) if len(rows) >= 2 else 0.0
 
 
-def _kruzhkov_block(rho, F_rho, H_t, H_u, cs, Fcs, semi, du, dt, H_0,
-                    rho_bar):
-    """The integrals of one test function's block, the reference of
-    ``zrh_kruzhkov``: lists of I and B, one of each per (c, form), forms
-    |x| or, with ``semi``, (x)+ then (-x)+.
-
-    rho - c and F(rho) - F(c) are formed once per c for both forms.  I is
+def _kruzhkov_block(flux, vals, n0, nt, j0, nu, ta, ub, tc, ud, wu, cs, Fcs,
+                    semi, du, dt, h0u, rho_bar):
+    """The reference of ``zrh_kruzhkov``, from its inputs: arrays of I and
+    B, one of each per (c, form), forms |x| or, with ``semi``, (x)+ then
+    (-x)+.  The block is the nt rows from n0 by the nu cells from j0 of
+    ``vals``, H_t = ta ub, H_u = (tc ud) / wu and H(t, 0) = tc h0u.  I is
     the trapezoid in t of du times the row sums of
     H_t tr(rho - c) + H_u tr(F(rho) - F(c)); with ``semi`` B is the
-    trapezoid of H(t, 0) tr(rho_bar - c), else 0.
+    trapezoid of H(t, 0) tr(rho_bar - c) on the block's rows, else 0.
     """
+    rho = vals[n0:n0 + nt, j0:j0 + nu]
+    F_rho = flux.F(rho)
+    H_t, H_u = ta[:, None] * ub, (tc[:, None] * ud) / wu
+    if semi:
+        H_0, d_bars = tc * h0u, rho_bar[n0:n0 + nt] - cs[:, None]
     forms = ((lambda x: np.maximum(x, 0.0), lambda x: np.maximum(-x, 0.0))
              if semi else (np.abs,))
     Is, Bs = [], []
-    for c, Fc in zip(cs, Fcs):
+    for k, (c, Fc) in enumerate(zip(cs, Fcs)):
         d_rho, d_F = rho - c, F_rho - Fc
-        if semi:
-            d_bar = rho_bar - c
         for tr in forms:
             rows = np.sum(H_t * tr(d_rho) + H_u * tr(d_F), axis=1) * du
             Is.append(_trapezoid(rows, dt))
-            Bs.append(_trapezoid(H_0 * tr(d_bar), dt) if semi else 0.0)
-    return Is, Bs
-
-
-def _kruzhkov_compiled(lib, rho, F_rho, H_t, H_u, cs, Fcs, semi, du, dt,
-                       H_0, rho_bar):
-    """``_kruzhkov_block`` in ``zrh_kruzhkov``; None when the block's
-    density, flux or boundary density, or an integral, is not finite, so
-    that the reference runs."""
-    (nt, nu), k = rho.shape, len(cs) * (2 if semi else 1)
-    I, B = np.empty(k), np.empty(k)
-    if lib.zrh_kruzhkov(rho, F_rho, H_t, H_u, nt, nu, cs, Fcs, len(cs),
-                        int(semi), du, dt, H_0, rho_bar,
-                        np.empty(k * (nu + nt) + 2 * nt), I, B):
-        return None
-    return I.tolist(), B.tolist()
+            Bs.append(_trapezoid(H_0 * tr(d_bars[k]), dt) if semi else 0.0)
+    return np.array(Is), np.array(Bs)
 
 
 def kruzhkov_check(grid: PdeGrid, flux: FluxModel, boundary,
@@ -473,58 +467,59 @@ def kruzhkov_check(grid: PdeGrid, flux: FluxModel, boundary,
     inequality passes when the quadrature value is above -tol with tol
     proportional to the derivative norms of H times the cell width.
 
-    F of the c values comes from one call per check, so a c outside the
-    table's range raises even for an empty family.  Each test function's
-    block is cut from the grid once, with F(rho) and the derivatives of H
-    on it.  Its integrals come from the compiled library's
-    ``zrh_kruzhkov`` when one loads, which forms every (c, form) term of a
-    row in one sweep and sums rows and the trapezoid as numpy does, so its
-    entries equal those of ``_kruzhkov_block``, the numpy reference, bit
-    for bit; the reference runs without a library and re-runs a block
-    whose compiled call fails on a non-finite value.  Each (c, form) entry
-    is an interior integral I plus M times a boundary integral B, so
+    F of the c values and the boundary density column come once per check.
+    A test function's block is its t-support's rows by the run of cells
+    its u-support meets; one ``zrh_kruzhkov`` call reads it in place,
+    forms F(rho) per row as the march does and H's derivatives from
+    ``TestFunction2D``'s 1-d factors.  ``_kruzhkov_block``, the numpy
+    reference, gives the same entries bit for bit; it runs without the
+    library, or where the call fails: on a density outside the table,
+    where it raises, or a non-finite value.  An entry is I + M B, so
     Dirichlet checks also report ``smallest_M``: the first m on
     linspace(0, M, 21) with I + m B >= -tol for every entry (else M).
     """
     if c_values is None:
         top = 1.2 * float(grid.values.max())
         c_values = np.linspace(0.0, max(top, 1e-6), 9)
-    T_span = grid.dt * (grid.values.shape[0] - 1)
+    T_span = grid.dt * grid.n_steps
     dirichlet = isinstance(boundary, DirichletDensity)
     if dirichlet and M is None:
         raise ValueError("Dirichlet entropy check needs the constant M")
     forms = ("plus", "minus") if dirichlet else ("abs",)
-    centers = grid.centers
+    centers, du, dt = grid.centers, grid.du, grid.dt
+    vals = np.ascontiguousarray(grid.values, dtype=float)
     cs = np.array([float(c) for c in c_values])
-    Fcs = flux.F(cs)
-    lib = _ckernel.load()
+    Fcs, k = flux.F(cs), len(cs) * len(forms)
+    rho_bar = boundary.column(grid.times) if dirichlet else None
+    lib, table = _ckernel.load(), flux.thermo
+    # zrh_kruzhkov's inputs past the block's: row stride, c count, table
+    fixed = (grid.n_cells, len(cs), table.densities, table.zetas,
+             len(table.zetas), flux.drift, *table.range_bounds())
     entries, parts = [], []  # parts: (I, B, tol) of each entry
     for H in test_family:
-        tol = (grid.du * (H.sup_dt() + flux.flux_lipschitz * H.sup_du())
+        tol = (du * (H.sup_dt() + flux.flux_lipschitz * H.sup_du())
                * min(2 * H.t_halfwidth, T_span) * 2 * H.u_halfwidth)
         t0, t1 = H.t_support
-        n0 = max(int(math.floor(t0 / grid.dt)), 0)
-        n1 = min(int(math.ceil(t1 / grid.dt)), grid.values.shape[0] - 1)
-        times = np.arange(n0, n1 + 1) * grid.dt
+        n0 = max(int(math.floor(t0 / dt)), 0)
+        nt = max(min(int(math.ceil(t1 / dt)), grid.n_steps) + 1 - n0, 0)
         u0, u1 = H.u_support
-        jmask = (centers + grid.du / 2 > u0) & (centers - grid.du / 2 < u1)
-        us = centers[jmask]
-        rho = grid.values[n0:n1 + 1].compress(jmask, axis=1)
-        F_rho = flux.F(rho)
-        H_t, H_u = H.dt(times[:, None], us), H.du(times[:, None], us)
-        H_0 = rho_bar = None
-        if dirichlet:
-            H_0 = H.value(times, 0.0)
-            rho_bar = np.array([boundary.value(t) for t in times.tolist()])
-        block = (rho, F_rho, H_t, H_u, cs, Fcs, dirichlet, grid.du, grid.dt,
-                 H_0, rho_bar)
-        out = None if lib is None else _kruzhkov_compiled(lib, *block)
-        Is, Bs = out or _kruzhkov_block(*block)
-        for k, (I, B) in enumerate(zip(Is, Bs)):
-            parts.append((I, B, tol))
+        # a suffix of the cells meets (u0, ...) and a prefix (..., u1)
+        j0 = grid.n_cells - int(np.count_nonzero(centers + du / 2 > u0))
+        nu = max(int(np.count_nonzero(centers - du / 2 < u1)) - j0, 0)
+        (ta, tc), (ub, ud) = (H.t_factors(np.arange(n0, n0 + nt) * dt),
+                              H.u_factors(centers[j0:j0 + nu]))
+        h0u = H.u_factors(0.0)[0] if dirichlet else 0.0
+        block = (vals, n0, nt, j0, nu, ta, ub, tc, ud, H.u_halfwidth, cs,
+                 Fcs, dirichlet, du, dt, h0u, rho_bar)
+        I, B = np.empty(k), np.empty(k)
+        if lib is None or lib.zrh_kruzhkov(
+                *block, *fixed, np.empty(k * nt + 5 * nu + 2 * nt), I, B):
+            I, B = _kruzhkov_block(flux, *block)
+        for j, (i, b) in enumerate(zip(I.tolist(), B.tolist())):
+            parts.append((i, b, tol))
             entries.append(KruzhkovEntry(
-                H.name, float(cs[k // len(forms)]),
-                I + M * B if dirichlet else I, tol, forms[k % len(forms)]))
+                H.name, float(cs[j // len(forms)]),
+                i + M * b if dirichlet else i, tol, forms[j % len(forms)]))
     report = KruzhkovReport(entries=entries)
     if dirichlet:
         report.smallest_M = next(

@@ -5,7 +5,8 @@ The basic building block is the polynomial bump b(s) = (1 - s^2)^2 on
 Two-dimensional test functions H(t, u) are products of shifted and
 scaled bumps; entropy-inequality checkers require the partial
 derivatives, so they are supplied analytically rather than by
-differencing.
+differencing.  They come as 1-d factors in t and in u (``t_factors``,
+``u_factors``), whose products the checker forms where it reads them.
 """
 from __future__ import annotations
 
@@ -14,25 +15,19 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def bump(s):
-    """(1 - s^2)^2 on |s| < 1, zero outside."""
+def bumps(s):
+    """(b(s), b'(s)): (1 - s^2)^2 and -4 s (1 - s^2) on |s| < 1, zero
+    outside."""
     s = np.asarray(s, dtype=float)
-    inside = np.abs(s) < 1.0
-    out = np.where(inside, (1.0 - s * s) ** 2, 0.0)
-    return out if out.ndim else float(out)
-
-
-def bump_prime(s):
-    """Derivative of the bump: -4 s (1 - s^2) on |s| < 1."""
-    s = np.asarray(s, dtype=float)
-    inside = np.abs(s) < 1.0
-    out = np.where(inside, -4.0 * s * (1.0 - s * s), 0.0)
-    return out if out.ndim else float(out)
+    inside, q = np.abs(s) < 1.0, 1.0 - s * s
+    b, db = np.where(inside, q ** 2, 0.0), np.where(inside, -4.0 * s * q, 0.0)
+    return (b, db) if b.ndim else (float(b), float(db))
 
 
 @dataclass(frozen=True)
 class TestFunction2D:
-    """H(t, u) = bump((t - t0)/wt) * bump((u - u0)/wu), with derivatives."""
+    """H(t, u) = b((t - t0)/wt) * b((u - u0)/wu), with derivatives as
+    factors."""
 
     __test__ = False  # not a test case, despite the name
 
@@ -52,21 +47,17 @@ class TestFunction2D:
         return (self.u_center - self.u_halfwidth,
                 self.u_center + self.u_halfwidth)
 
-    def _s(self, t, u):
-        return ((np.asarray(t, dtype=float) - self.t_center) / self.t_halfwidth,
-                (np.asarray(u, dtype=float) - self.u_center) / self.u_halfwidth)
+    def t_factors(self, t):
+        """(b'(s_t) / wt, b(s_t)) at times t: dH/dt = b'(s_t) / wt * b(s_u)
+        and dH/du = (b(s_t) * b'(s_u)) / wu."""
+        st = (np.asarray(t, dtype=float) - self.t_center) / self.t_halfwidth
+        b, db = bumps(st)
+        return db / self.t_halfwidth, b
 
-    def value(self, t, u):
-        st, su = self._s(t, u)
-        return bump(st) * bump(su)
-
-    def dt(self, t, u):
-        st, su = self._s(t, u)
-        return bump_prime(st) / self.t_halfwidth * bump(su)
-
-    def du(self, t, u):
-        st, su = self._s(t, u)
-        return bump(st) * bump_prime(su) / self.u_halfwidth
+    def u_factors(self, u):
+        """(b(s_u), b'(s_u)) at positions u; H = b(s_t) * b(s_u)."""
+        su = (np.asarray(u, dtype=float) - self.u_center) / self.u_halfwidth
+        return bumps(su)
 
     def sup_dt(self) -> float:
         # max of |b'| is 8/(3 sqrt 3) at s = 1/sqrt(3); |b| <= 1

@@ -294,6 +294,20 @@ def test_one_replica_cannot_validate(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_zero_width_band_is_a_usage_error(tmp_path, capsys):
+    # every replica reads g = 0 at x = 2, so se is 0 and the site failed
+    # on a band of no width
+    out = tmp_path / "inv.json"
+    rc = main(["invariant", "--preset", "absorbing-subcritical", "--N", "20",
+               "--half-window", "10", "--validate", "--replicas", "4",
+               "--t-end", "0.1", "--seed", "4", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "zrh invariant: error: site x = 2: every replica read the same "
+        "average of g, so se = 0; use more replicas\n")
+    assert not out.exists()
+
+
 def test_negative_time_is_a_one_line_error(capsys):
     assert main(["compare", "--N", "30", "--times", "0.4", "-0.1"]) == 2
     err = capsys.readouterr().err

@@ -355,6 +355,23 @@ class TestSuiteFiles:
                        "replicas = 2\ntolerance = 1e-9\n")
         assert run_suite(bad) == 1
 
+    def test_block_lines_print_before_a_later_block_raises(
+            self, tmp_path, capsys, monkeypatch):
+        f = tmp_path / "s.suite"
+        f.write_text(SUITE_OK)
+        real = harness.compare
+
+        def second_raises(spec):
+            if spec.name == "two":
+                raise RuntimeError("block two failed")
+            return real(spec)
+
+        monkeypatch.setattr(harness, "compare", second_raises)
+        with pytest.raises(RuntimeError, match="block two failed"):
+            run_suite(f)
+        out = capsys.readouterr().out
+        assert out.startswith("one  N=") and "two" not in out
+
     def test_shipped_suite_passes(self):
         shipped = Path(__file__).resolve().parent.parent / "suites" \
             / "acceptance.suite"

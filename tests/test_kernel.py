@@ -340,15 +340,18 @@ def test_interp_is_numpys(c_kernel):
             v.hex() for v in want.tolist()]
 
 
-def _kruzhkov_integral(lib, ht, dt):
-    """zrh_kruzhkov's I on rows ht with rho = 1, F = 0 and one c = 0 of the
-    |x| form: the trapezoid in t of each row's sum of ht."""
-    nt, nu = ht.shape
-    ones, zeros, c = np.ones((nt, nu)), np.zeros((nt, nu)), np.zeros(1)
-    scratch = np.empty(nu + 3 * nt)
+def _kruzhkov_integral(lib, ta, ub, dt):
+    """zrh_kruzhkov's I on rows H_t = ta[n] * ub[j], with rho = 1, H_u = 0
+    and one c = 0 of the |x| form: the trapezoid in t of each row's sum of
+    H_t."""
+    nt, nu = len(ta), len(ub)
+    ones, zeros, xp = np.ones((nt, nu)), np.zeros(nt), np.array([0.0, 2.0])
+    c = np.zeros(1)
+    scratch = np.empty(5 * nu + 3 * nt)
     I, B = np.empty(1), np.empty(1)
-    status = lib.zrh_kruzhkov(ones, zeros, ht, zeros, nt, nu, c, c, 1, 0,
-                              1.0, dt, None, None, scratch, I, B)
+    status = lib.zrh_kruzhkov(ones, 0, nt, 0, nu, ta, ub, zeros, np.zeros(nu),
+                              1.0, c, c, 0, 1.0, dt, 0.0, None, nu, 1, xp, xp,
+                              2, 1.0, 0.0, 2.0, scratch, I, B)
     assert status == 0
     return float(I[0])
 
@@ -361,10 +364,10 @@ def test_kruzhkov_sums_are_numpys(c_kernel):
     gen = np.random.default_rng(4)
     for n in range(1, 301):
         row = gen.standard_normal(n) * 10.0 ** gen.integers(-8, 9, n)
-        got = _kruzhkov_integral(lib, np.vstack([row, row]), 1.0)
+        got = _kruzhkov_integral(lib, np.ones(2), row, 1.0)
         assert got.hex() == float(np.sum(row)).hex(), n
         want = float(np.trapezoid(row, dx=0.01)) if n > 1 else 0.0
-        got = _kruzhkov_integral(lib, row[:, None].copy(), 0.01)
+        got = _kruzhkov_integral(lib, row, np.ones(1), 0.01)
         assert got.hex() == want.hex(), n
 
 
@@ -417,7 +420,7 @@ def test_null_only_where_the_kernel_takes_it(c_kernel):
                        if getattr(t, "null", False)]
                 for name, (_, types) in _ckernel.ENTRY_POINTS.items()}
     assert {k: v for k, v in nullable.items() if v} == {
-        "zrh_march": [8, 9], "zrh_kruzhkov": [12, 13]}
+        "zrh_march": [8, 9], "zrh_kruzhkov": [16]}
     args = _arguments(_ckernel.ENTRY_POINTS["zrh_march"][1])
     args[8] = args[9] = None
     assert _ckernel.load().zrh_march(*args) == 0
