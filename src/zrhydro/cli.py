@@ -21,7 +21,8 @@ from .invariant import (PRESETS, build_profile, preset_profile,
 from .oracle import (LinearCaseParams, dual_rw_estimate,
                      exact_linear_solution, integrate_density_ode,
                      killing_probability_experiment)
-from .pde import FluxModel, compose_theorem_solution, kruzhkov_check
+from .pde import (DirichletDensity, FluxModel, ZeroFlux,
+                  compose_theorem_solution, default_M, kruzhkov_check)
 from .profiles import DensityProfile
 from .rates import rate_from_spec
 from .rng import replica_stream
@@ -164,10 +165,10 @@ def cmd_invariant(args):
                               window)
     elif args.m_plus is not None:
         prof = build_profile(params, window, m_plus=args.m_plus,
-                             zeta_star=thermo.zeta_star_estimate)
+                             zeta_star=rate.sup_g)
     else:
         prof = build_profile(params, window, c1=args.c1, c2=args.c2,
-                             zeta_star=thermo.zeta_star_estimate)
+                             zeta_star=rate.sup_g)
     doc = {"x_min": prof.x_min, "m": [float(v) for v in prof.m],
            "residual": prof.residual(), "constants": prof.constants}
     if args.validate:
@@ -199,16 +200,27 @@ def cmd_pde(args):
                 f.write(f"{_fmt(t)},{_fmt(u)},{_fmt(v)}\n")
     if args.check:
         flux = FluxModel(thermo, args.asym)
-        grid = sol.left
-        fam = bump_family((0.05 * args.T, 0.95 * args.T),
-                          (grid.u_min + 2 * args.du,
-                           grid.u_max - 2 * args.du))
-        rep = kruzhkov_check(grid, flux, None, fam)
-        doc = {"passed": rep.passed, "n_inequalities": len(rep.entries)}
+        grid, t_window = sol.left, (0.05 * args.T, 0.95 * args.T)
+        reps = [kruzhkov_check(grid, flux, None, bump_family(
+            t_window, (grid.u_min + 2 * args.du, grid.u_max - 2 * args.du)))]
+        if sol.right is not sol.left:
+            # the half-line solution the CSV holds on u > 0, under its
+            # boundary condition; bumps centred at 0, h and 2h, so the
+            # first one weighs the boundary term
+            h = (sol.right.u_max - 2 * args.du) / 3
+            bc = (ZeroFlux() if sol.boundary_trace is None
+                  else DirichletDensity(sol.boundary_trace))
+            reps.append(kruzhkov_check(
+                sol.right, flux, bc, bump_family(t_window, (-h, 3 * h)),
+                M=default_M(flux, args.alpha)))
+        passed = all(rep.passed for rep in reps)
+        doc = {"passed": passed,
+               "n_inequalities": sum(len(rep.entries) for rep in reps)}
         _write_text(args.out + ".check.json",
                     json.dumps(doc, indent=2) + "\n")
-        print(rep)
-        return 0 if rep.passed else 1
+        for rep in reps:
+            print(rep)
+        return 0 if passed else 1
     return 0
 
 

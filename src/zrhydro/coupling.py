@@ -49,8 +49,8 @@ class BasicCouplingEngine(GillespieLoop):
                  rate: RateFunction, rng: np.random.Generator,
                  leak_fraction: float = LEAK_FRACTION,
                  order_guard: bool = False):
-        super().__init__(pair.omega.x_min, len(pair.omega.occ),
-                         pair.omega.closed, params, rate, rng, leak_fraction)
+        super().__init__(pair.omega, params.destruction_factor, params, rate,
+                         rng, leak_fraction)
         self.pair = pair
         self.order_guard = order_guard
         ca, cb = pair.omega, pair.varpi
@@ -62,15 +62,11 @@ class BasicCouplingEngine(GillespieLoop):
         self._b = pair.varpi.occ.copy()
         if order_guard and np.any(self._a > self._b):
             raise ValueError("order guard requires omega <= varpi initially")
-        self._d0 = self._origin_scale(params.destruction_factor)
-        self._start(int(max(self._a.sum(), self._b.sum())))
+        self._start()
 
     @property
     def order_violations(self) -> int:
         return int(self._cnt[6])
-
-    def _kernel_fields(self):
-        return {"d0": self._d0, "guard": self.order_guard}
 
     def occupations_omega(self) -> np.ndarray:
         return np.array(self._a, dtype=np.int64)
@@ -188,30 +184,24 @@ class SecondClassEngine(GillespieLoop):
     def __init__(self, initial: Configuration, params: ModelParams,
                  rate: RateFunction, rng: np.random.Generator,
                  leak_fraction: float = LEAK_FRACTION):
-        super().__init__(initial.x_min, len(initial.occ), initial.closed,
-                         params, rate, rng, leak_fraction)
+        # conversion, not destruction, acts at the origin: N everywhere
+        super().__init__(initial, 0.0, params, rate, rng, leak_fraction)
         self._w = initial.occ.copy()
         self._z = np.zeros(self._n, dtype=np.int64)
-        self._x_min = initial.x_min
-        self._conv_rate = params.alpha * float(params.N) ** (1.0 + params.beta)
-        # conversion, not destruction, acts at the origin: N everywhere
-        self._origin_scale(0.0)
+        self._conv = params.alpha * float(params.N) ** (1.0 + params.beta)
         # conversions, left and right exits
         self._cnt = [0, 0, 0]
-        self._start(int(self._w.sum()))
+        self._start()
 
     @property
     def conversions(self) -> int:
         return int(self._cnt[0])
 
-    def _kernel_fields(self):
-        return {"conv": self._conv_rate}
-
     def _site_rates(self):
         gt, w, o = np.asarray(self._gt), np.asarray(self._w), self._origin
         r = np.asarray(self._scale) * gt[w + np.asarray(self._z)]
         if o >= 0:
-            r[o] += self._conv_rate * gt[w[o]]
+            r[o] += self._conv * gt[w[o]]
         return r
 
     def state(self) -> SecondClassState:
@@ -231,7 +221,7 @@ class SecondClassEngine(GillespieLoop):
             self._cnt
         put, leak = self._tree.set, self._check_leak
         n, origin, p = self._n, self._origin, self.params.p
-        conv, closed = self._conv_rate, self._closed
+        conv, closed = self._conv, self._closed
 
         def site_rate(i):
             r = scale[i] * gt[w[i] + z[i]]
@@ -297,20 +287,15 @@ class LabeledCouplingEngine(GillespieLoop):
     def __init__(self, initial: Configuration, params: ModelParams,
                  rate: RateFunction, rng: np.random.Generator,
                  leak_fraction: float = LEAK_FRACTION):
-        super().__init__(initial.x_min, len(initial.occ), initial.closed,
+        super().__init__(initial, params.alpha * math.sqrt(float(params.N)),
                          params, rate, rng, leak_fraction)
-        self._kill_p = self._origin_scale(
-            params.alpha * math.sqrt(float(params.N)))
         self._eta = initial.occ.copy()
         self._omega = initial.occ.copy()
         if self._origin >= 0:
             # eta-particles at the origin die at time zero
             self._eta[self._origin] = 0
         self._cnt = [0, 0]  # exits, origin kills
-        self._start(int(self._omega.sum()))
-
-    def _kernel_fields(self):
-        return {"d0": self._kill_p}
+        self._start()
 
     def _site_rates(self):
         return np.asarray(self._scale) * np.asarray(self._gt)[self._omega]
@@ -334,7 +319,7 @@ class LabeledCouplingEngine(GillespieLoop):
             self._gt, self._cnt
         put, leak = self._tree.set, self._check_leak
         n, origin, p = self._n, self._origin, self.params.p
-        kill_p, closed = self._kill_p, self._closed
+        kill_p, closed = self._d0, self._closed
 
         def step(x, uch, u, total):
             ko, ke = omg[x], eta[x]

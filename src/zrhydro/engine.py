@@ -255,10 +255,15 @@ class GillespieLoop:
       and at the end of every run, with its value at the start;
     - its counters in the list ``_cnt``, the first three of which ``run``
       reports as destroyed, left and right exits, and for the compiled
-      kernel its mode ``_MODE``, the names ``_OCC`` of its two occupation
-      lists and ``_kernel_fields()``, the process constants (see
-      ``_kernel.c``);
+      kernel its mode ``_MODE`` and the names ``_OCC`` of its two
+      occupation lists, whose larger starting total bounds every
+      occupation (no event creates a particle);
     - optionally ``_sync()`` (publish state before observers and errors).
+
+    The loop reads the window from the starting ``Configuration`` and
+    splits the origin's rate by ``factor`` (``_origin_scale``).  The
+    kernel's other process constants, the conversion rate ``_conv`` and
+    ``order_guard``, default to off (see ``_kernel.c``).
 
     The closures capture the live containers, which audits update in
     place, so they stay valid for the whole run.  With the compiled kernel
@@ -266,36 +271,40 @@ class GillespieLoop:
     loop turns them into lists, which it indexes faster.
     """
 
-    def __init__(self, x_min: int, n: int, closed: bool, params: ModelParams,
-                 rate: RateFunction, rng: np.random.Generator,
-                 leak_fraction: float):
+    _conv = 0.0
+    order_guard = False
+
+    def __init__(self, config: Configuration, factor: float,
+                 params: ModelParams, rate: RateFunction,
+                 rng: np.random.Generator, leak_fraction: float):
         self.params = params
         self.rate = rate
         self.rng = rng
         self.leak_fraction = leak_fraction
         self.time = 0.0
         self.n_events = 0
-        self._n = n
-        self._closed = closed
-        x0 = -x_min
+        self._x_min, self._closed = config.x_min, config.closed
+        self._n = n = len(config.occ)
+        x0 = -self._x_min
         self._origin = x0 if 0 <= x0 < n else -1
+        self._origin_scale(factor)
 
-    def _origin_scale(self, factor: float) -> float:
+    def _origin_scale(self, factor: float):
         """Set the per-site rate factors ``_scale``, N everywhere and
-        N (1 + factor) at the origin; returns the origin's extra share
-        factor / (1 + factor)."""
+        N (1 + factor) at the origin, and ``_d0``, the origin's extra
+        share factor / (1 + factor)."""
         self._scale = np.full(self._n, float(self.params.N))
         if self._origin >= 0:
             self._scale[self._origin] = self.params.N * (1.0 + factor)
-        return factor / (1.0 + factor)
+        self._d0 = factor / (1.0 + factor)
 
-    def _start(self, particles: int):
+    def _start(self):
         """Build the g table, site rates and sum tree once the process's
         state is in place, as arrays that the compiled kernel shares if
-        one loads, or as lists for the Python loop.  ``particles`` bounds
-        every occupation (no event creates a particle); the starting
-        balance sets the leak cap."""
-        self._gt = self.rate.table(particles + 2)
+        one loads, or as lists for the Python loop.  The starting balance
+        sets the leak cap."""
+        a, b = (getattr(self, name) for name in self._OCC)
+        self._gt = self.rate.table(int(max(a.sum(), b.sum())) + 2)
         self._cnt = np.array(self._cnt, dtype=np.int64)
         rates = self._site_rates()
         self._total = self._rebuilt = math.fsum(rates.tolist())
@@ -308,9 +317,9 @@ class GillespieLoop:
             self._tree = SumTree(rates)
             st = _ckernel.State(mode=self._MODE, n=self._n,
                                 origin=self._origin, closed=self._closed,
-                                p=self.params.p, leak_cap=self._leak_cap,
-                                **self._kernel_fields())
-            a, b = (getattr(self, name) for name in self._OCC)
+                                guard=self.order_guard, p=self.params.p,
+                                d0=self._d0, conv=self._conv,
+                                leak_cap=self._leak_cap)
             st.share(gt=self._gt, rates=self._tree.values,
                      tree=self._tree.tree, cnt=self._cnt, scale=self._scale,
                      a=a, b=b)
@@ -485,17 +494,13 @@ class EventEngine(GillespieLoop):
     def __init__(self, config: Configuration, params: ModelParams,
                  rate: RateFunction, rng: np.random.Generator,
                  leak_fraction: float = LEAK_FRACTION):
-        super().__init__(config.x_min, len(config.occ), config.closed,
-                         params, rate, rng, leak_fraction)
+        super().__init__(config, params.destruction_factor, params, rate,
+                         rng, leak_fraction)
         self.config = config
         self._occ = config.occ.copy()
         self._cnt = [config.destroyed_count, config.exited_left,
                      config.exited_right]
-        self._d0 = self._origin_scale(params.destruction_factor)
-        self._start(int(self._occ.sum()))
-
-    def _kernel_fields(self):
-        return {"d0": self._d0}
+        self._start()
 
     def occupations(self) -> np.ndarray:
         return np.array(self._occ, dtype=np.int64)

@@ -188,7 +188,7 @@ def preset_profile(name: str, params: ModelParams, density: float,
     else:
         raise ValueError(f"unknown preset {name!r}; choose from {PRESETS}")
     return build_profile(params, window, c1=c1, c2=c2,
-                         zeta_star=thermo.zeta_star_estimate)
+                         zeta_star=thermo.rate.sup_g)
 
 
 def sample_stationary(profile: StationaryProfile, thermo: ThermoTable,

@@ -247,6 +247,20 @@ def _solve(init: DensityProfile, flux: FluxModel, T: float, du: float,
                    inflow=inflow, outflow=outflow)
 
 
+def _padded(lo: float, hi: float, flux: FluxModel, T: float, du: float):
+    """(lo, hi) padded by two cells on each side, and on the right also by
+    the fastest characteristic's reach by T."""
+    return lo - 2 * du, hi + flux.flux_lipschitz * T + 2 * du
+
+
+def _origin_cell(grid) -> int:
+    """Index of the first cell of ``grid`` (a ``PdeGrid`` or a
+    ``DensityProfile``) right of u = 0.  Rounded: -u_min / du can land a
+    rounding error below an integer (401.99999999999994 for data from
+    u = -1 at du = 1/400), where a floor picks one cell too far left."""
+    return round(-grid.u_min / grid.du)
+
+
 def solve_whole_line(rho0: DensityProfile, flux: FluxModel, T: float,
                      du: float | None = None,
                      domain: tuple[float, float] | None = None) -> PdeGrid:
@@ -259,9 +273,7 @@ def solve_whole_line(rho0: DensityProfile, flux: FluxModel, T: float,
     if du is None:
         du = rho0.du
     if domain is None:
-        pad = 2 * du
-        domain = (rho0.u_min - pad,
-                  rho0.u_max + flux.flux_lipschitz * T + pad)
+        domain = _padded(rho0.u_min, rho0.u_max, flux, T, du)
     return _solve(rho0.resample(*domain, du), flux, T, du, None)
 
 
@@ -277,7 +289,7 @@ def solve_half_line(rho0: DensityProfile, flux: FluxModel, boundary,
     if du is None:
         du = rho0.du
     if u_max is None:
-        u_max = max(rho0.u_max, 0.0) + flux.flux_lipschitz * T + 2 * du
+        u_max = _padded(0.0, max(rho0.u_max, 0.0), flux, T, du)[1]
     if not isinstance(boundary, (DirichletDensity, ZeroFlux)):
         raise ValueError("half-line solve needs Dirichlet or zero-flux data")
     return _solve(rho0.resample(0.0, u_max, du), flux, T, du, boundary.trace)
@@ -311,7 +323,7 @@ class _RowLookup:
 
 def _left_column(grid: PdeGrid) -> np.ndarray:
     """The whole-line grid's values in the last cell left of 0, per row."""
-    j = int(math.floor((0.0 - grid.u_min) / grid.du)) - 1
+    j = _origin_cell(grid) - 1
     if j < 0 or j >= grid.n_cells:
         raise PdeError("grid does not cover the left of the origin")
     return grid.values[:, j]
@@ -335,10 +347,8 @@ class ComposedSolution:
         rp = self.right.at_time(t)
         if self.right is self.left:
             return lp
-        du = lp.du
-        n_left = int(round((0.0 - lp.u_min) / du))
-        vals = np.concatenate([lp.values[:n_left], rp.values])
-        return DensityProfile(lp.u_min, du, vals)
+        vals = np.concatenate([lp.values[:_origin_cell(lp)], rp.values])
+        return DensityProfile(lp.u_min, lp.du, vals)
 
 
 def compose_theorem_solution(beta: float, rho0: DensityProfile,
@@ -362,9 +372,8 @@ def compose_theorem_solution(beta: float, rho0: DensityProfile,
     if du is None:
         du = rho0.du
     if domain is None:
-        pad = 2 * du
-        domain = (min(rho0.u_min, 0.0) - pad,
-                  max(rho0.u_max, 0.0) + flux.flux_lipschitz * T + pad)
+        domain = _padded(min(rho0.u_min, 0.0), max(rho0.u_max, 0.0), flux, T,
+                         du)
     whole = solve_whole_line(rho0, flux, T, du=du, domain=domain)
     if params.alpha == 0.0 or beta < 0:
         return ComposedSolution(left=whole, right=whole)
@@ -529,24 +538,15 @@ def kruzhkov_check(grid: PdeGrid, flux: FluxModel, boundary,
 
 
 def boundary_flux_trace(grid: PdeGrid, flux: FluxModel):
-    """Both sides of the mass-balance identity at the origin.
+    """Both sides of the mass-balance identity at the origin of a
+    half-line grid, one that starts at u = 0.
 
     Returns (times, mass_rate, flux_at_zero): the discrete derivative of
-    the mass on u > 0 net of right-edge outflow, against F at the trace
-    cell.  For a half-line grid the trace cell is the first cell's left
-    edge value; for a whole-line grid it is the last cell left of 0.
+    the mass on u > 0 net of right-edge outflow, against that of the
+    influx recorded during marching, so ``flux`` is not read.  Any other
+    grid raises ``ValueError``.
     """
-    times = grid.times
-    if grid.u_min >= -grid.du / 2:
-        # half-line: influx recorded during marching
-        mass = grid.mass()
-        mass_rate = np.gradient(mass + grid.outflow, grid.dt)
-        flux_in = np.gradient(grid.inflow, grid.dt)
-        return times, mass_rate, flux_in
-    j0 = int(math.ceil((0.0 - grid.u_min) / grid.du))
-    mass = grid.values[:, j0:].sum(axis=1) * grid.du
-    mass_rate = np.gradient(mass + grid.outflow, grid.dt)
-    trace = grid.values[:, j0 - 1]
-    flux_in = flux.F(trace)
-    return times, mass_rate, flux_in
-
+    if _origin_cell(grid) != 0:
+        raise ValueError("boundary flux trace needs a grid starting at u = 0")
+    mass_rate = np.gradient(grid.mass() + grid.outflow, grid.dt)
+    return grid.times, mass_rate, np.gradient(grid.inflow, grid.dt)

@@ -188,12 +188,10 @@ class ThermoTable:
 
     rate: RateFunction
     rho_max: float = 4.0
-    zeta_star_estimate: float = field(init=False)
     zetas: np.ndarray = field(init=False, repr=False)
     densities: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.zeta_star_estimate = self.rate.sup_g
         zeta_hi = self._find_zeta_ceiling()
         zetas = np.linspace(0.0, zeta_hi, GRID_SIZE)
         dens = mean_density(self.rate, zetas)
@@ -203,7 +201,7 @@ class ThermoTable:
         self.densities = dens
 
     def _find_zeta_ceiling(self) -> float:
-        zstar = self.zeta_star_estimate
+        zstar = self.rate.sup_g
         zeta = min(1.0, 0.5 * zstar) if np.isfinite(zstar) else 1.0
         for _ in range(200):
             try:

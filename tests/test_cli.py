@@ -1,6 +1,7 @@
 import json
 import sys
 
+import numpy as np
 import pytest
 
 from zrhydro.cli import main
@@ -201,6 +202,33 @@ def test_pde_solve_and_check(tmp_path, capsys):
     doc = json.loads((tmp_path / "pde.csv.check.json").read_text())
     assert doc["passed"] is True
     assert "PASS" in capsys.readouterr().out
+
+
+def test_pde_check_reads_the_half_line_solution(tmp_path, capsys,
+                                                monkeypatch):
+    # the right grid, which the CSV holds on u > 0, swapped for reversed
+    # Riemann data carried as a jump at its Rankine-Hugoniot speed (1/6
+    # for the indicator rate at p = 0.75): the whole-line grid still
+    # passes, so only the right grid's check can fail the run
+    from zrhydro import cli
+    compose = cli.compose_theorem_solution
+
+    def jump(*args, **kw):
+        sol = compose(*args, **kw)
+        g = sol.right
+        g.values = np.array([np.where(g.centers < 0.05 + t / 6, 2.0, 0.0)
+                             for t in g.times])
+        return sol
+
+    monkeypatch.setattr(cli, "compose_theorem_solution", jump)
+    out = tmp_path / "pde.csv"
+    rc = main(["pde", "--g", "indicator", "--du", "0.01", "--T", "0.4",
+               "--check", "--out", str(out)])
+    assert rc == 1
+    left, right = capsys.readouterr().out.splitlines()
+    assert "PASS" in left and "FAIL" in right
+    doc = json.loads((tmp_path / "pde.csv.check.json").read_text())
+    assert doc == {"passed": False, "n_inequalities": 162}
 
 
 def test_oracle_exact(tmp_path):

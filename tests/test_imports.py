@@ -1,6 +1,6 @@
 """Every name a package module, demo, perfbench module or test imports is
 used in it, and every public definition of the package is used outside the
-unit tests.
+unit tests, with the definers that share a public name listed.
 
 ``__init__.py`` is left out: it imports names to re-export them.
 """
@@ -79,17 +79,36 @@ def referenced_names(source: str) -> set[str]:
     return names
 
 
+def definitions(source: str) -> list[tuple[str | None, str]]:
+    """(class, name) of each top-level function and class, with class
+    None, and of each method of those classes."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.append((None, node.name))
+        if isinstance(node, ast.ClassDef):
+            found.extend((node.name, f.name) for f in node.body
+                         if isinstance(f, ast.FunctionDef))
+    return found
+
+
 def public_definitions(source: str) -> list[str]:
     """Top-level functions and classes, and the methods of those classes,
     whose names do not start with _."""
-    names = []
-    for node in ast.parse(source).body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names.append(node.name)
-        if isinstance(node, ast.ClassDef):
-            names.extend(f.name for f in node.body
-                         if isinstance(f, ast.FunctionDef))
-    return [name for name in names if not name.startswith("_")]
+    return [name for _, name in definitions(source)
+            if not name.startswith("_")]
+
+
+def shared_names(sources: dict[str, str]) -> dict[str, list[str]]:
+    """Public names defined more than once in ``sources`` (module file
+    name to source), each with its sorted definers: the class of a
+    method, the module file of a top-level definition."""
+    found = {}
+    for module, source in sources.items():
+        for cls, name in definitions(source):
+            if not name.startswith("_"):
+                found.setdefault(name, []).append(cls or module)
+    return {name: sorted(d) for name, d in found.items() if len(d) > 1}
 
 
 def test_finds_unreferenced_definitions():
@@ -111,3 +130,30 @@ def test_every_public_definition_is_referenced():
     # an exemption whose name is used again, or gone, is stale
     assert sorted(UNREFERENCED_OK.keys() & used) == []
     assert sorted(UNREFERENCED_OK.keys() - defined) == []
+
+
+#: the public names that more than one definition carries.  A reference
+#: to the name counts for every definer, so each one's caller was checked
+#: by hand; a new shared name or definer fails until it is checked too.
+SHARED = {
+    "at_time": ["ComposedSolution", "PdeGrid"],
+    "centers": ["DensityProfile", "PdeGrid"],
+    "drift": ["FluxModel", "ModelParams"],
+    "notify": ["CallbackObserver", "SnapshotObserver"],
+    "passed": ["ComparisonEntry", "ComparisonReport", "KruzhkovEntry",
+               "KruzhkovReport", "SiteStatistic", "StationarityReport"],
+    "run": ["GillespieLoop", "LabeledCouplingEngine"],
+    "u_max": ["DensityProfile", "PdeGrid"],
+}
+
+
+def test_finds_shared_names():
+    sources = {"a.py": "def run(): pass\nclass A:\n    def run(self): pass\n"
+                       "    def go(self): pass\n    def _x(self): pass\n",
+               "b.py": "class B:\n    def run(self): pass\n"
+                       "    def _x(self): pass\n"}
+    assert shared_names(sources) == {"run": ["A", "B", "a.py"]}
+
+
+def test_shared_names_are_the_checked_ones():
+    assert shared_names({p.name: p.read_text() for p in MODULES}) == SHARED

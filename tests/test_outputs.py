@@ -40,6 +40,9 @@ VOLATILE = ("wall_time_s", "kernel")
 COUPLE = ["couple", "--N", "30", "--t-end", "0.2", "--replicas", "2",
           "--seed", "5"]
 ORACLE = ["oracle", "--N", "30", "--replicas", "200", "--seed", "6"]
+INVARIANT = ["invariant", "--preset", "absorbing-subcritical", "--N", "20",
+             "--half-window", "10", "--validate", "--t-end", "0.1", "--seed",
+             "4"]
 #: each small run's arguments but ``--out``, by the name of its outputs
 RUNS = {
     "simulate": ["simulate", "--N", "30", "--t-end", "0.2", "--replicas",
@@ -48,9 +51,10 @@ RUNS = {
                 "pde", "--replicas", "2", "--seed", "3", "--tolerance", "1"],
     "pde": ["pde", "--g", "indicator", "--du", "0.02", "--T", "0.4",
             "--check"],
-    "invariant": ["invariant", "--preset", "absorbing-subcritical", "--N",
-                  "20", "--half-window", "10", "--validate", "--replicas",
-                  "4", "--t-end", "0.1", "--seed", "4"],
+    # four replicas leave a zero-width band (exit 2, no file); twenty pin
+    # the stationarity JSON
+    "invariant": INVARIANT + ["--replicas", "4"],
+    "invariant-band": INVARIANT + ["--replicas", "20"],
     **{f"oracle-{mode}": ORACLE + ["--mode", mode]
        for mode in ("exact", "ode", "dual", "killprob")},
     **{f"couple-{mode}": COUPLE + ["--mode", mode]

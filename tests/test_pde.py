@@ -122,6 +122,12 @@ class TestHalfLine:
         inner = slice(3, -3)
         assert np.max(np.abs(lhs[inner] - rhs[inner])) <= 0.02 * 0.5
 
+    def test_boundary_flux_trace_needs_a_half_line_grid(self, lin_flux):
+        rho0 = DensityProfile.from_spec("-1:0:1", du=0.02)
+        g = solve_whole_line(rho0, lin_flux, T=0.2)
+        with pytest.raises(ValueError):
+            boundary_flux_trace(g, lin_flux)
+
 
 class TestBoundaryDensity:
     def test_identity_without_destruction(self):
@@ -182,6 +188,20 @@ class TestComposition:
         for n, t in enumerate(sol.left.times[:-1].tolist()):
             assert sol.boundary_trace(t + 0.3 * dt) == on_grid[n]
             assert sol.boundary_trace(t + 0.7 * dt) == on_grid[n + 1]
+
+    def test_boundary_map_reads_the_cell_at_minus_half_du(self):
+        # data from u = -1 at du = 1/400 put -u_min / du a rounding error
+        # below 402; the cell that feeds the map is found by its centre
+        params = ModelParams(0.75, 1.0, 0.0, 10)
+        thermo = ThermoTable(linear_rate(), rho_max=6.0)
+        du = 1 / 400
+        rho0 = DensityProfile.from_spec("-1:-0.3:2,-0.3:0:0.5", du=du)
+        sol = compose_theorem_solution(0.0, rho0, params, thermo, 0.8, du=du)
+        j = int(np.argmin(np.abs(sol.left.centers + du / 2)))
+        assert sol.left.centers[j] == pytest.approx(-du / 2, abs=1e-12)
+        want = pde._boundary_density(sol.left.values[:, j], params, thermo)
+        got = np.array([sol.boundary_trace(t) for t in sol.left.times])
+        assert np.array_equal(got, want)
 
     def test_supercritical_destroys_everything(self):
         params = ModelParams(0.75, 1.0, 1.0, 10)
