@@ -30,15 +30,25 @@ from .testfuncs import bump_family
 from .thermo import ThermoTable
 
 
-def _add_model_flags(p, default_rate="linear", include_N=True):
-    p.add_argument("--g", default=default_rate,
-                   help="rate spec: linear | indicator | bounded:c | table:...")
+def _add_model_flags(p, g=True, N=True, seed=True):
+    """--p, --alpha and --beta, and those of --g, --N and --seed that the
+    command reads."""
+    if g:
+        p.add_argument("--g", default="linear", help="rate spec: linear | "
+                       "indicator | bounded:c | table:...")
     p.add_argument("--p", type=float, default=0.75, dest="asym")
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--beta", type=float, default=0.0)
-    if include_N:
+    if N:
         p.add_argument("--N", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    if seed:
+        p.add_argument("--seed", type=int, default=0)
+
+
+def _params(args, N=None) -> ModelParams:
+    """The model flags as ``ModelParams``, with ``N`` in place of --N."""
+    return ModelParams(p=args.asym, alpha=args.alpha, beta=args.beta,
+                       N=args.N if N is None else N)
 
 
 def _replica_count(text: str) -> int:
@@ -111,8 +121,7 @@ def cmd_couple(args):
     from .coupling import (BasicCouplingEngine, LabeledCouplingEngine,
                            PairConfiguration, SecondClassEngine,
                            second_class_left_mass)
-    params = ModelParams(p=args.asym, alpha=args.alpha, beta=args.beta,
-                         N=args.N)
+    params = _params(args)
     rate = rate_from_spec(args.g)
     rho0 = DensityProfile.from_spec(args.rho0)
     window = choose_window(rho0.support(), params, args.t_end,
@@ -155,8 +164,7 @@ def cmd_couple(args):
 
 
 def cmd_invariant(args):
-    params = ModelParams(p=args.asym, alpha=args.alpha, beta=args.beta,
-                         N=args.N)
+    params = _params(args)
     rate = rate_from_spec(args.g)
     thermo = ThermoTable(rate, rho_max=max(4.0, 2 * args.density))
     window = (-args.half_window, args.half_window)
@@ -189,7 +197,7 @@ def cmd_pde(args):
     rate = rate_from_spec(args.g)
     rho0 = DensityProfile.from_spec(args.rho0, du=args.du)
     thermo = ThermoTable(rate, rho_max=max(4.0, 2 * rho0.values.max()))
-    params = ModelParams(p=args.asym, alpha=args.alpha, beta=args.beta, N=1)
+    params = _params(args, N=1)
     sol = compose_theorem_solution(args.beta, rho0, params, thermo,
                                    args.T, du=args.du)
     with open(args.out, "w") as f:
@@ -225,8 +233,7 @@ def cmd_pde(args):
 
 
 def cmd_oracle(args):
-    params = ModelParams(p=args.asym, alpha=args.alpha, beta=args.beta,
-                         N=args.N)
+    params = _params(args)
     lin = LinearCaseParams(params)
     rho0 = DensityProfile.from_spec(args.rho0)
     rng = replica_stream(args.seed, 0)
@@ -282,7 +289,7 @@ def main(argv=None) -> int:
     ps = sub.add_parser("simulate", help="kinetic Monte Carlo runs")
     _add_model_flags(ps)
     ps.add_argument("--rho0", default="-1:0:1")
-    ps.add_argument("--t-end", type=float, default=0.5, dest="t_end")
+    ps.add_argument("--t-end", type=float, default=0.5)
     ps.add_argument("--ell", type=int, default=10)
     ps.add_argument("--replicas", type=_replica_count, default=1)
     ps.add_argument("--window-margin", type=float, default=0.5)
@@ -298,7 +305,7 @@ def main(argv=None) -> int:
     pc.add_argument("--preset", choices=PRESETS, default=None)
     pc.add_argument("--preset-density", type=float, default=1.0)
     pc.add_argument("--rho0", default="-1:0:1")
-    pc.add_argument("--t-end", type=float, default=0.5, dest="t_end")
+    pc.add_argument("--t-end", type=float, default=0.5)
     pc.add_argument("--replicas", type=_replica_count, default=1)
     pc.add_argument("--window-margin", type=float, default=0.5)
     pc.add_argument("--out", default="couple.csv")
@@ -310,17 +317,17 @@ def main(argv=None) -> int:
     pi.add_argument("--density", type=float, default=1.0)
     pi.add_argument("--c1", type=float, default=None)
     pi.add_argument("--c2", type=float, default=None)
-    pi.add_argument("--m-plus", type=float, default=None, dest="m_plus")
+    pi.add_argument("--m-plus", type=float, default=None)
     pi.add_argument("--half-window", type=int, default=50)
     pi.add_argument("--validate", action="store_true")
-    pi.add_argument("--t-end", type=float, default=1.0, dest="t_end")
+    pi.add_argument("--t-end", type=float, default=1.0)
     pi.add_argument("--replicas", type=_replica_count, default=100)
     pi.add_argument("--sites", type=int, nargs="*", default=None)
     pi.add_argument("--out", default="-")
     pi.set_defaults(fn=cmd_invariant)
 
     pp = sub.add_parser("pde", help="finite-volume solves")
-    _add_model_flags(pp)
+    _add_model_flags(pp, N=False, seed=False)
     pp.add_argument("--rho0", default="-1:0:1")
     pp.add_argument("--du", type=float, default=0.01)
     pp.add_argument("--T", type=float, default=0.8)
@@ -329,7 +336,7 @@ def main(argv=None) -> int:
     pp.set_defaults(fn=cmd_pde)
 
     po = sub.add_parser("oracle", help="linear-case cross checks")
-    _add_model_flags(po)
+    _add_model_flags(po, g=False)
     po.add_argument("--mode", choices=("exact", "ode", "dual", "killprob"),
                     default="exact")
     po.add_argument("--rho0", default="-1:0:1")
@@ -342,7 +349,7 @@ def main(argv=None) -> int:
     po.set_defaults(fn=cmd_oracle)
 
     pm = sub.add_parser("compare", help="particle system vs target")
-    _add_model_flags(pm, include_N=False)
+    _add_model_flags(pm, N=False)
     pm.add_argument("--name", default="compare")
     pm.add_argument("--N", type=int, nargs="+", default=[100])
     pm.add_argument("--rho0", default="-1:0:1")

@@ -353,8 +353,7 @@ class ComposedSolution:
 
 def compose_theorem_solution(beta: float, rho0: DensityProfile,
                              params: ModelParams, thermo: ThermoTable,
-                             T: float, du: float | None = None,
-                             domain: tuple[float, float] | None = None
+                             T: float, du: float | None = None
                              ) -> ComposedSolution:
     """Macroscopic solution in the three destruction regimes.
 
@@ -366,14 +365,18 @@ def compose_theorem_solution(beta: float, rho0: DensityProfile,
     once, over the distinct values of the trace's column of time rows;
     ``boundary_trace`` then looks its value up by the row round(t / dt),
     so the march and every entropy check read stored values.  beta > 0:
-    the right problem has zero influx instead.
+    the right problem has zero influx instead.  The whole-line grid
+    starts a whole number of cells left of 0, so it has an edge at u = 0
+    and the right grid glues onto it there.
     """
     flux = FluxModel(thermo, params.p)
     if du is None:
         du = rho0.du
-    if domain is None:
-        domain = _padded(min(rho0.u_min, 0.0), max(rho0.u_max, 0.0), flux, T,
-                         du)
+    domain = _padded(min(rho0.u_min, 0.0), max(rho0.u_max, 0.0), flux, T, du)
+    cells = -domain[0] / du
+    if abs(cells - round(cells)) > 1e-9:
+        # moved only when off an edge, so aligned grids stay as they were
+        domain = (-du * math.ceil(cells), domain[1])
     whole = solve_whole_line(rho0, flux, T, du=du, domain=domain)
     if params.alpha == 0.0 or beta < 0:
         return ComposedSolution(left=whole, right=whole)

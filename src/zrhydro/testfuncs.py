@@ -84,16 +84,11 @@ def bump_family(t_window, u_window, n_t: int = 2,
     return fam
 
 
-def hat(u, center: float, halfwidth: float, height: float = 1.0):
-    """Triangular profile: height at the center, linear to 0 at the edges."""
-    u = np.asarray(u, dtype=float)
-    out = height * np.maximum(0.0, 1.0 - np.abs(u - center) / halfwidth)
-    return out if out.ndim else float(out)
-
-
-def hat_profile_callable(center: float, halfwidth: float,
-                         height: float = 1.0):
-    """Closure form of the hat, for exact-solution comparisons."""
+def hat_profile_callable(center: float, halfwidth: float):
+    """Triangular profile as a closure, for exact-solution comparisons: 1
+    at the center, linear to 0 at the edges."""
     def f(u):
-        return hat(u, center, halfwidth, height)
+        u = np.asarray(u, dtype=float)
+        out = np.maximum(0.0, 1.0 - np.abs(u - center) / halfwidth)
+        return out if out.ndim else float(out)
     return f

@@ -1,9 +1,14 @@
+import argparse
+import ast
+import inspect
 import json
 import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+from zrhydro import cli
 from zrhydro.cli import main
 from zrhydro.engine import LeakageError
 
@@ -19,6 +24,22 @@ def test_simulate_writes_csv_and_sidecar(tmp_path):
     meta = json.loads((tmp_path / "sim.csv.json").read_text())
     assert len(meta["replicas"]) == 2
     assert meta["replicas"][0]["events"] > 0
+
+
+def test_simulate_plot_skips_without_matplotlib(tmp_path, monkeypatch,
+                                               capsys):
+    # None in sys.modules makes "import matplotlib" raise ImportError
+    monkeypatch.setitem(sys.modules, "matplotlib", None)
+    args = ["simulate", "--N", "30", "--t-end", "0.1", "--seed", "3"]
+    svg = tmp_path / "plot.svg"
+    assert main(args + ["--out", str(tmp_path / "plain.csv")]) == 0
+    assert main(args + ["--out", str(tmp_path / "plot.csv"),
+                        "--plot", str(svg)]) == 0
+    assert capsys.readouterr().err == (
+        "matplotlib not installed; skipping plot\n")
+    assert not svg.exists()
+    assert ((tmp_path / "plot.csv").read_bytes()
+            == (tmp_path / "plain.csv").read_bytes())
 
 
 def test_simulate_deterministic(tmp_path):
@@ -282,6 +303,77 @@ def test_suite_subcommand(tmp_path):
     rc = main(["suite", str(f), "--out-dir", str(tmp_path / "out")])
     assert rc == 0
     assert (tmp_path / "out" / "one.csv").exists()
+
+
+class _Built(Exception):
+    """Raised in place of parsing, with the parser that ``main`` built."""
+
+
+def subcommand_parsers(monkeypatch) -> dict:
+    """{name: parser} of each subcommand of the parser ``main`` builds."""
+    def stop(parser, *args, **kw):
+        raise _Built(parser)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", stop)
+    with pytest.raises(_Built) as built:
+        main([])
+    top = built.value.args[0]
+    return next(a.choices for a in top._actions
+                if isinstance(a, argparse._SubParsersAction))
+
+
+def args_read(fn) -> set:
+    """Attributes that ``fn`` reads of its first parameter, with those
+    that a ``cli`` helper reads when ``fn`` passes it that parameter
+    first, less the ones a keyword argument of the call supplies."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fn))).body[0]
+    name = tree.args.args[0].arg
+    reads = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == name):
+            reads.add(node.attr)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.args and isinstance(node.args[0], ast.Name)
+              and node.args[0].id == name
+              and inspect.isfunction(getattr(cli, node.func.id, None))):
+            reads |= (args_read(getattr(cli, node.func.id))
+                      - {kw.arg for kw in node.keywords})
+    return reads
+
+
+def test_args_read_follows_helpers():
+    # cmd_pde reads the model flags through _params, which it hands N
+    reads = args_read(cli.cmd_pde)
+    assert {"asym", "alpha", "beta", "du", "check"} <= reads
+    assert "N" not in reads and "N" in args_read(cli.cmd_oracle)
+
+
+def test_every_flag_is_read_by_its_command(monkeypatch):
+    unread = {}
+    for name, parser in subcommand_parsers(monkeypatch).items():
+        dests = {a.dest for a in parser._actions
+                 if not isinstance(a, argparse._HelpAction)}
+        left = dests - args_read(parser.get_default("fn"))
+        if left:
+            unread[name] = left
+    assert unread == {}
+
+
+@pytest.mark.parametrize("args", [
+    ["oracle", "--mode", "ode", "--g", "indicator"],
+    ["pde", "--T", "0.1", "--N", "5"],
+    ["pde", "--T", "0.1", "--seed", "3"],
+])
+def test_unread_flags_are_usage_errors(args, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exit_:
+        main(args + ["--out", str(out)])
+    assert exit_.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: unrecognized arguments: {' '.join(args[-2:])}\n")
+    assert not out.exists()
 
 
 def test_unknown_subcommand_errors():

@@ -203,6 +203,23 @@ class TestComposition:
         got = np.array([sol.boundary_trace(t) for t in sol.left.times])
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    @pytest.mark.parametrize("du", [0.03, 0.007])
+    def test_right_grid_glues_at_the_origin(self, du, beta):
+        # data from u = -1 put no whole number of cells between the padded
+        # left end and 0 at either du; the composed profile on u > 0 is
+        # then the right grid's, read anywhere in a cell
+        params = ModelParams(0.75, 1.0, beta, 10)
+        thermo = ThermoTable(linear_rate(), rho_max=6.0)
+        rho0 = DensityProfile.from_spec("-1:0:1", du=du)
+        sol = compose_theorem_solution(beta, rho0, params, thermo, 0.4)
+        cells = -sol.left.u_min / du
+        assert abs(cells - round(cells)) < 1e-9
+        right = sol.right.at_time(0.4)
+        u = (right.centers[:, None] + du * np.array([-0.4, 0.0, 0.4])).ravel()
+        u = u[u <= 0.5]
+        assert np.array_equal(sol.at_time(0.4)(u), right(u))
+
     def test_supercritical_destroys_everything(self):
         params = ModelParams(0.75, 1.0, 1.0, 10)
         thermo = ThermoTable(linear_rate(), rho_max=6.0)

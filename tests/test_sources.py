@@ -6,7 +6,8 @@ imports ``ctypes`` or takes an array's ``.ctypes`` address itself would
 go round that check, so no package module but ``_ckernel.py`` does.  A
 ctypes declaration that drifts from the C definition passes arguments in
 the wrong slots, which corrupts memory without an error, so the two are
-compared parameter by parameter.
+compared parameter by parameter, and ``_ckernel.State`` with the kernel's
+``zrh_state`` field by field.
 """
 import ast
 import ctypes
@@ -79,7 +80,7 @@ def _ctypes_kind(t) -> str:
     if isinstance(t, _ckernel.Array) or issubclass(t, ctypes._Pointer):
         return "pointer"
     return {ctypes.c_double: "double", ctypes.c_int64: "int64_t",
-            ctypes.c_int: "int"}[t]
+            ctypes.c_int: "int", ctypes.c_void_p: "pointer"}[t]
 
 
 def ctypes_signatures(entry_points: dict) -> dict:
@@ -114,3 +115,47 @@ def test_entry_points_match_the_c_definitions():
     declared = ctypes_signatures(_ckernel.ENTRY_POINTS)
     for name in c:
         assert declared[name] == c[name], name
+
+
+#: the body of the kernel's state struct
+C_STATE = re.compile(r"typedef struct \{(.*?)\} zrh_state;", re.DOTALL)
+
+
+def c_state_fields(source: str) -> list:
+    """(name, kind) of each ``zrh_state`` field, in order; a kind is
+    "pointer" or the scalar type."""
+    body = re.sub(r"/\*.*?\*/", "", C_STATE.search(source).group(1),
+                  flags=re.DOTALL)
+    fields = []
+    for decl in filter(None, (d.strip() for d in body.split(";"))):
+        # "[const] type a, *b": the type, then its declarators
+        scalar, declarators = re.fullmatch(r"(?:const\s+)?(\w+)\s+(.*)",
+                                           decl, re.DOTALL).groups()
+        for d in (d.strip() for d in declarators.split(",")):
+            fields.append((d.lstrip("*").strip(),
+                           "pointer" if d.startswith("*") else scalar))
+    return fields
+
+
+def ctypes_fields(fields: list) -> list:
+    """The same shape as ``c_state_fields``, from a ``_fields_`` list."""
+    return [(name, _ctypes_kind(t)) for name, t in fields]
+
+
+def test_finds_state_fields_and_their_drift():
+    source = ("typedef struct {\n    int64_t mode, n; /* a; b, c */\n"
+              "    const double *gt, *scale;\n    double t;\n} zrh_state;\n")
+    c = c_state_fields(source)
+    assert c == [("mode", "int64_t"), ("n", "int64_t"), ("gt", "pointer"),
+                 ("scale", "pointer"), ("t", "double")]
+    _i, _d, _p = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+    fields = [("mode", _i), ("n", _i), ("gt", _p), ("scale", _p), ("t", _d)]
+    assert ctypes_fields(fields) == c
+    # two fields swapped and one missing both show
+    for drifted in (fields[:3] + [fields[4], fields[3]], fields[:-1]):
+        assert ctypes_fields(drifted) != c
+
+
+def test_state_matches_the_c_struct():
+    assert (ctypes_fields(_ckernel.State._fields_)
+            == c_state_fields(_ckernel.SOURCE.read_text()))
