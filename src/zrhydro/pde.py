@@ -367,8 +367,12 @@ def compose_theorem_solution(beta: float, rho0: DensityProfile,
     so the march and every entropy check read stored values.  beta > 0:
     the right problem has zero influx instead.  The whole-line grid
     starts a whole number of cells left of 0, so it has an edge at u = 0
-    and the right grid glues onto it there.
+    and the right grid glues onto it there.  ``beta`` must be
+    ``params.beta``; a different one raises ValueError.
     """
+    if beta != params.beta:
+        raise ValueError(f"beta {beta!r} differs from params.beta "
+                         f"{params.beta!r}")
     flux = FluxModel(thermo, params.p)
     if du is None:
         du = rho0.du

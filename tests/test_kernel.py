@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zrhydro import _ckernel, coupling, engine
+from zrhydro import _ckernel, coupling, engine, pde
 from zrhydro.coupling import (BasicCouplingEngine, LabeledCouplingEngine,
                               PairConfiguration, SecondClassEngine)
 from zrhydro.engine import (CallbackObserver, Configuration, EventEngine,
@@ -32,7 +32,7 @@ from zrhydro.engine import (CallbackObserver, Configuration, EventEngine,
 from zrhydro.profiles import DensityProfile
 from zrhydro.rates import rate_from_spec
 from zrhydro.rng import FIRST_BLOCK, UniformBlock, replica_stream
-from zrhydro.thermo import mean_density
+from zrhydro.thermo import ThermoTable, mean_density
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 #: events per full-size buffer refill: four uniforms per event
@@ -227,9 +227,27 @@ def test_failed_build_falls_back(fresh_cache, monkeypatch, tmp_path):
     bad = tmp_path / "broken.c"
     bad.write_text("this is not C\n")
     monkeypatch.setattr(_ckernel, "SOURCE", bad)
-    with pytest.warns(RuntimeWarning, match="kernel build failed"):
+    # the build with the host flag and the one without both fail
+    with pytest.warns(RuntimeWarning, match="kernel build failed") as caught:
         assert _engine().kernel == "python"
+    assert len(caught) == 1
     assert not list(fresh_cache.glob("*.tmp"))
+
+
+def test_rejected_host_flag_builds_the_portable_library(fresh_cache,
+                                                        monkeypatch):
+    if shutil.which(_ckernel.COMPILER) is None:
+        pytest.skip("no C compiler")
+    monkeypatch.setattr(_ckernel, "HOST_FLAG", "-march=zrh-no-such-cpu")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _engine().kernel == "c"
+    built = list(fresh_cache.iterdir())
+    assert len(built) == 1 and built[0].suffix == ".so"
+    # cached under the host build's name: the next process loads it
+    monkeypatch.setattr(_ckernel, "_loaded", [])
+    monkeypatch.setattr(_ckernel, "COMPILER", "zrh-no-such-compiler")
+    assert _engine().kernel == "c"
 
 
 def test_build_is_cached_by_source_and_flags(fresh_cache, monkeypatch):
@@ -244,19 +262,25 @@ def test_build_is_cached_by_source_and_flags(fresh_cache, monkeypatch):
     monkeypatch.setattr(_ckernel, "_loaded", [])
     monkeypatch.setattr(_ckernel, "COMPILER", "zrh-no-such-compiler")
     assert _engine().kernel == "c"
-    # other flags name another library
-    monkeypatch.setattr(_ckernel, "_loaded", [])
-    monkeypatch.setattr(_ckernel, "FLAGS", _ckernel.FLAGS + ("-g",))
-    with pytest.warns(RuntimeWarning, match="no C compiler"):
-        assert _engine().kernel == "python"
+    # other flags, or another CPU sharing the cache, name another library
+    host = _ckernel._host()
+    for name, value in (("FLAGS", _ckernel.FLAGS + ("-g",)),
+                        ("_host", lambda: host + " zrh-other-cpu")):
+        with monkeypatch.context() as m:
+            m.setattr(_ckernel, "_loaded", [])
+            m.setattr(_ckernel, name, value)
+            with pytest.warns(RuntimeWarning, match="no C compiler"):
+                assert _engine().kernel == "python"
 
 
-def test_kernel_compiles_without_warnings(tmp_path):
+@pytest.mark.parametrize("host", [True, False], ids=["host", "portable"])
+def test_kernel_compiles_without_warnings(tmp_path, host):
     cc = shutil.which(_ckernel.COMPILER)
     if cc is None:
         pytest.skip("no C compiler")
+    flags = (_ckernel.HOST_FLAG, *_ckernel.FLAGS) if host else _ckernel.FLAGS
     proc = subprocess.run(
-        [cc, *_ckernel.FLAGS, "-Wall", "-Wextra", "-Werror",
+        [cc, *flags, "-Wall", "-Wextra", "-Werror",
          "-o", str(tmp_path / "kernel.so"), str(_ckernel.SOURCE),
          *_ckernel.LIBS], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -356,12 +380,45 @@ def _kruzhkov_integral(lib, ta, ub, dt):
     return float(I[0])
 
 
+def _kruzhkov_blocks(lib, flux, nu, gen):
+    """zrh_kruzhkov against ``pde._kruzhkov_block`` on random blocks nu
+    cells wide, of 1, 2 and 3 rows, in both forms, with three c values:
+    the block sits off the grid's corner, so rows start at odd cells, and
+    H's factors have spread magnitudes and signs."""
+    table = flux.thermo
+    cs = np.array([0.0, 0.7, 1.9])
+    fixed = (table.densities, table.zetas, len(table.zetas), flux.drift,
+             *table.range_bounds())
+
+    def spread(k):
+        return gen.standard_normal(k) * 10.0 ** gen.integers(-4, 5, k)
+    for nt in (1, 2, 3):
+        vals = gen.uniform(0.0, 3.0, (nt + 2, nu + 4))
+        rho_bar = gen.uniform(0.0, 3.0, nt + 2)
+        for semi in (False, True):
+            block = (vals, 1, nt, 3, nu, spread(nt), spread(nu), spread(nt),
+                     spread(nu), 0.3, cs, flux.F(cs), semi, 0.01, 0.003,
+                     gen.standard_normal(), rho_bar if semi else None)
+            k = len(cs) * (2 if semi else 1)
+            I, B = np.empty(k), np.empty(k)
+            assert lib.zrh_kruzhkov(*block, nu + 4, len(cs), *fixed,
+                                    np.empty(k * nt + 5 * nu + 2 * nt),
+                                    I, B) == 0
+            want = np.concatenate(pde._kruzhkov_block(flux, *block))
+            assert [v.hex() for v in I.tolist() + B.tolist()] == [
+                v.hex() for v in want.tolist()], (nu, nt, semi)
+
+
 def test_kruzhkov_sums_are_numpys(c_kernel):
     # two equal rows make I the row's sum, as np.sum gives it; one cell a
     # row makes I the trapezoid of the column; spread magnitudes and signs
-    # make the order of the additions show
+    # make the order of the additions show.  Whole blocks of every width to
+    # 300 match the reference too: the widths cross every vector remainder
+    # (mod 8 and mod 16) and both sides of the pairwise sum's 128-cell split
     lib = _ckernel.load()
     gen = np.random.default_rng(4)
+    flux = pde.FluxModel(ThermoTable(rate_from_spec("linear"), rho_max=6.0),
+                         0.75)
     for n in range(1, 301):
         row = gen.standard_normal(n) * 10.0 ** gen.integers(-8, 9, n)
         got = _kruzhkov_integral(lib, np.ones(2), row, 1.0)
@@ -369,6 +426,7 @@ def test_kruzhkov_sums_are_numpys(c_kernel):
         want = float(np.trapezoid(row, dx=0.01)) if n > 1 else 0.0
         got = _kruzhkov_integral(lib, row, np.ones(1), 0.01)
         assert got.hex() == want.hex(), n
+        _kruzhkov_blocks(lib, flux, n, gen)
 
 
 KINDS = ("float32", "strided", "other type", "list")

@@ -227,6 +227,15 @@ class TestComposition:
         sol = compose_theorem_solution(1.0, rho0, params, thermo, 0.8)
         assert sol.at_time(0.8)(0.2) == pytest.approx(0.0, abs=1e-9)
 
+    def test_beta_must_be_the_params_beta(self):
+        # a beta that params contradicts would pick the regime alone
+        params = ModelParams(0.75, 1.0, 0.0, 10)
+        thermo = ThermoTable(linear_rate(), rho_max=6.0)
+        rho0 = DensityProfile.from_spec("-1:0:1", du=0.01)
+        with pytest.raises(ValueError, match=r"beta 1\.0 differs from "
+                                             r"params\.beta 0\.0"):
+            compose_theorem_solution(1.0, rho0, params, thermo, 0.8)
+
     def test_subcritical_pure_transport(self):
         params = ModelParams(0.75, 1.0, -1.0, 10)
         thermo = ThermoTable(linear_rate(), rho_max=6.0)
