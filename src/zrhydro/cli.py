@@ -21,8 +21,8 @@ from .invariant import (PRESETS, build_profile, preset_profile,
 from .oracle import (LinearCaseParams, dual_rw_estimate,
                      exact_linear_solution, integrate_density_ode,
                      killing_probability_experiment)
-from .pde import (DirichletDensity, FluxModel, ZeroFlux,
-                  compose_theorem_solution, default_M, kruzhkov_check)
+from .pde import (FluxModel, compose_theorem_solution, default_M,
+                  kruzhkov_check)
 from .profiles import DensityProfile
 from .rates import rate_from_spec
 from .rng import replica_stream
@@ -211,16 +211,14 @@ def cmd_pde(args):
         grid, t_window = sol.left, (0.05 * args.T, 0.95 * args.T)
         reps = [kruzhkov_check(grid, flux, None, bump_family(
             t_window, (grid.u_min + 2 * args.du, grid.u_max - 2 * args.du)))]
-        if sol.right is not sol.left:
+        if sol.boundary is not None:
             # the half-line solution the CSV holds on u > 0, under its
             # boundary condition; bumps centred at 0, h and 2h, so the
             # first one weighs the boundary term
             h = (sol.right.u_max - 2 * args.du) / 3
-            bc = (ZeroFlux() if sol.boundary_trace is None
-                  else DirichletDensity(sol.boundary_trace))
-            reps.append(kruzhkov_check(
-                sol.right, flux, bc, bump_family(t_window, (-h, 3 * h)),
-                M=default_M(flux, args.alpha)))
+            bumps = bump_family(t_window, (-h, 3 * h))
+            reps.append(kruzhkov_check(sol.right, flux, sol.boundary, bumps,
+                                       M=default_M(flux, args.alpha)))
         passed = all(rep.passed for rep in reps)
         doc = {"passed": passed,
                "n_inequalities": sum(len(rep.entries) for rep in reps)}

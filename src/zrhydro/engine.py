@@ -72,8 +72,10 @@ class ModelParams:
     def __post_init__(self):
         if not 0.5 < self.p <= 1.0:
             raise ValueError("asymmetry p must lie in (1/2, 1]")
-        if self.alpha < 0:
-            raise ValueError("alpha must be non-negative")
+        if not 0.0 <= self.alpha < math.inf:
+            raise ValueError("alpha must be finite and non-negative")
+        if not math.isfinite(self.beta):
+            raise ValueError("beta must be finite")
         if self.N < 1:
             raise ValueError("N must be a positive integer")
 
@@ -86,6 +88,14 @@ class ModelParams:
     def destruction_factor(self) -> float:
         """alpha * N**beta, the extra rate factor at the origin."""
         return self.alpha * float(self.N) ** self.beta
+
+    @property
+    def limit_destruction(self) -> float:
+        """lim alpha N^beta, the regime: 0 if beta < 0 or alpha = 0 (no
+        boundary), alpha if beta = 0 (Dirichlet map), inf if beta > 0."""
+        if self.alpha == 0.0 or self.beta < 0:
+            return 0.0
+        return self.alpha if self.beta == 0 else math.inf
 
 
 @dataclass

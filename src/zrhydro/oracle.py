@@ -37,15 +37,9 @@ class LinearCaseParams:
 
     @property
     def alpha_tilde(self) -> float:
-        """Limiting absorption factor: 1, alpha/(alpha+2p-1) or 0 by beta."""
-        pr = self.params
-        if pr.alpha == 0.0:
-            return 0.0
-        if pr.beta > 0:
-            return 1.0
-        if pr.beta == 0:
-            return pr.alpha / (pr.alpha + pr.drift)
-        return 0.0
+        """Limiting absorption factor s/(s+2p-1), s = lim alpha N^beta."""
+        s = self.params.limit_destruction
+        return 1.0 if math.isinf(s) else s / (s + self.params.drift)
 
     @property
     def alpha_tilde_N(self) -> float:

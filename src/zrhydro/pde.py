@@ -9,7 +9,7 @@ non-entropic profiles) in one pass per test function, and on Dirichlet
 data also reports the smallest boundary constant M that passes.  The
 half-line solver supports a Dirichlet boundary density and the zero-flux
 condition, and the composition routine glues left and right problems
-across the origin in the three destruction regimes.
+across the origin in the regime ``ModelParams.limit_destruction`` picks.
 
 The march checks as it goes (see ``_march``): a bad state fails the same
 check at the same step as under a per-step ``flux.F``, and a bad ghost
@@ -18,8 +18,8 @@ Kruzhkov integrals in one pass over the grid in place, run in the
 compiled library when one loads (``_ckernel``), bit for bit as the numpy
 code, which is the reference and raises every error; their range checks
 take their bounds from ``ThermoTable.range_bounds``.  A boundary trace
-is read as one column per march or check, and at beta = 0 the boundary
-map runs once per distinct value of that column.
+is read as one column per march or check, and the boundary map runs
+once per distinct value of that column.
 """
 from __future__ import annotations
 
@@ -296,14 +296,14 @@ def solve_half_line(rho0: DensityProfile, flux: FluxModel, boundary,
 
 
 def _boundary_density(rho_left, params: ModelParams, thermo: ThermoTable):
-    """R((2p-1) Phi(rho_L) / (2p-1 + alpha)), for a scalar or an array."""
+    """R((2p-1) Phi(rho_L) / (2p-1 + s)), s = params.limit_destruction."""
     return thermo.phi_inverse(params.drift * thermo.phi(rho_left)
-                              / (params.drift + params.alpha))
+                              / (params.drift + params.limit_destruction))
 
 
 def boundary_density_from_left_trace(left_trace, params: ModelParams,
                                      thermo: ThermoTable):
-    """Boundary density R((2p-1) Phi(rho_L(t,0)) / (2p-1 + alpha))."""
+    """Boundary density ``_boundary_density`` of the trace rho_L(t, 0)."""
     trace = DirichletDensity(left_trace)
     return lambda t: _boundary_density(trace.value(t), params, thermo)
 
@@ -336,17 +336,24 @@ def left_trace_from_grid(grid: PdeGrid):
 
 @dataclass
 class ComposedSolution:
-    """Left and right solutions glued across the origin."""
+    """Left and right solutions glued across the origin; ``boundary`` is
+    the condition the right one was solved under, None on the whole line."""
 
     left: PdeGrid
     right: PdeGrid
-    boundary_trace: object = None
+    boundary: object = None
+
+    @property
+    def boundary_trace(self):
+        """The Dirichlet trace t -> rho_bar(t), or None."""
+        b = self.boundary
+        return b.trace if isinstance(b, DirichletDensity) else None
 
     def at_time(self, t: float) -> DensityProfile:
         lp = self.left.at_time(t)
-        rp = self.right.at_time(t)
-        if self.right is self.left:
+        if self.boundary is None:
             return lp
+        rp = self.right.at_time(t)
         vals = np.concatenate([lp.values[:_origin_cell(lp)], rp.values])
         return DensityProfile(lp.u_min, lp.du, vals)
 
@@ -355,20 +362,14 @@ def compose_theorem_solution(beta: float, rho0: DensityProfile,
                              params: ModelParams, thermo: ThermoTable,
                              T: float, du: float | None = None
                              ) -> ComposedSolution:
-    """Macroscopic solution in the three destruction regimes.
-
-    beta < 0 (or alpha = 0): the destruction vanishes in the limit and
-    the whole-line solution applies everywhere.  beta = 0: the left part
-    of the whole-line solution survives on u < 0 (characteristics move
-    right), its trace at 0^- feeds the boundary-density map, and the
-    right part solves the half-line Dirichlet problem.  The map runs
-    once, over the distinct values of the trace's column of time rows;
-    ``boundary_trace`` then looks its value up by the row round(t / dt),
-    so the march and every entropy check read stored values.  beta > 0:
-    the right problem has zero influx instead.  The whole-line grid
-    starts a whole number of cells left of 0, so it has an edge at u = 0
-    and the right grid glues onto it there.  ``beta`` must be
-    ``params.beta``; a different one raises ValueError.
+    """Macroscopic solution in the regime s = ``params.limit_destruction``:
+    the whole-line one on u < 0 (characteristics move right), and
+    everywhere at s = 0; else on u > 0 the half-line one, with zero influx
+    at s = inf or with the boundary-density map of the trace at 0^-, run
+    once per distinct value of its column of time rows.  The whole-line
+    grid starts a whole number of cells left of 0, so the right grid glues
+    onto its edge at u = 0.  ``beta`` must be ``params.beta``, else
+    ValueError.
     """
     if beta != params.beta:
         raise ValueError(f"beta {beta!r} differs from params.beta "
@@ -382,21 +383,18 @@ def compose_theorem_solution(beta: float, rho0: DensityProfile,
         # moved only when off an edge, so aligned grids stay as they were
         domain = (-du * math.ceil(cells), domain[1])
     whole = solve_whole_line(rho0, flux, T, du=du, domain=domain)
-    if params.alpha == 0.0 or beta < 0:
+    s = params.limit_destruction
+    if s == 0.0:
         return ComposedSolution(left=whole, right=whole)
-    rho0_right = rho0.resample(0.0, domain[1], du)
-    if beta == 0:
+    boundary = ZeroFlux()
+    if math.isfinite(s):
         # the column repeats its values; map each distinct one once
         levels, rows = np.unique(_left_column(whole), return_inverse=True)
-        rho_bar = _RowLookup(
-            _boundary_density(levels, params, thermo)[rows], whole.dt)
-        right = solve_half_line(rho0_right, flux, DirichletDensity(rho_bar),
-                                T, du=du, u_max=domain[1])
-        return ComposedSolution(left=whole, right=right,
-                                boundary_trace=rho_bar)
-    right = solve_half_line(rho0_right, flux, ZeroFlux(), T, du=du,
-                            u_max=domain[1])
-    return ComposedSolution(left=whole, right=right)
+        boundary = DirichletDensity(_RowLookup(
+            _boundary_density(levels, params, thermo)[rows], whole.dt))
+    right = solve_half_line(rho0.resample(0.0, domain[1], du), flux,
+                            boundary, T, du=du, u_max=domain[1])
+    return ComposedSolution(left=whole, right=right, boundary=boundary)
 
 
 # -- entropy checking ----------------------------------------------------

@@ -428,6 +428,14 @@ def test_zero_width_band_is_a_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_non_finite_alpha_is_a_one_line_error(tmp_path, capsys):
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "--alpha", "nan", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "zrh simulate: error: alpha must be finite and non-negative\n")
+    assert not out.exists()
+
+
 def test_negative_time_is_a_one_line_error(capsys):
     assert main(["compare", "--N", "30", "--times", "0.4", "-0.1"]) == 2
     err = capsys.readouterr().err

@@ -34,6 +34,26 @@ class TestAbsorptionFactor:
         sup = [lin(beta=0.5, N=n).alpha_tilde_N for n in (10, 100, 1000)]
         assert sup[0] < sup[1] < sup[2]  # tends to 1
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    @pytest.mark.parametrize("beta", [-0.5, 0.0, 0.5])
+    def test_finite_n_strength_tends_to_its_limit(self, alpha, beta):
+        params = [ModelParams(0.75, alpha, beta, 10 ** k)
+                  for k in range(1, 9)]
+        aNb = np.array([pr.destruction_factor for pr in params])
+        s = {pr.limit_destruction for pr in params}
+        if alpha == 0.0 or beta < 0:  # vanishes
+            assert s == {0.0}
+            assert np.all(np.diff(aNb) <= 0) and aNb[-1] <= 1e-3 * alpha
+        elif beta == 0:  # stays alpha
+            assert s == {alpha} and np.all(aNb == alpha)
+        else:  # grows without bound
+            assert s == {np.inf}
+            assert np.all(np.diff(aNb) > 0) and aNb[-1] >= 1e3 * alpha
+        gaps = [abs(LinearCaseParams(pr).alpha_tilde_N
+                    - LinearCaseParams(pr).alpha_tilde) for pr in params]
+        assert all(b <= a for a, b in zip(gaps, gaps[1:]))
+        assert gaps[-1] < 1e-3
+
 
 class TestExactSolution:
     def test_before_front(self):

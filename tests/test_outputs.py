@@ -3,7 +3,8 @@
 ``outputs_manifest.json`` holds the sha256 of each file written by a fixed
 list of small CLI runs, beside each run's exit code (``zrh simulate``,
 ``compare``, ``pde``, ``invariant``, all four ``oracle`` modes, ``zrh
-couple`` in its three modes and with a preset), of each file ``zrh suite``
+couple`` in its three modes and with a preset; ``pde`` and the exact
+oracle also at beta < 0 and beta > 0), of each file ``zrh suite``
 writes for ``suites/acceptance.suite``, and of each demo's stdout.  JSON
 sidecars are hashed with their ``wall_time_s`` and ``kernel`` keys
 removed, the only fields that move between runs or between the two loops.
@@ -39,6 +40,7 @@ SUITE = ROOT / "suites" / "acceptance.suite"
 VOLATILE = ("wall_time_s", "kernel")
 COUPLE = ["couple", "--N", "30", "--t-end", "0.2", "--replicas", "2",
           "--seed", "5"]
+PDE = ["pde", "--g", "indicator", "--du", "0.02", "--T", "0.4", "--check"]
 ORACLE = ["oracle", "--N", "30", "--replicas", "200", "--seed", "6"]
 INVARIANT = ["invariant", "--preset", "absorbing-subcritical", "--N", "20",
              "--half-window", "10", "--validate", "--t-end", "0.1", "--seed",
@@ -49,14 +51,18 @@ RUNS = {
                  "2", "--seed", "3"],
     "compare": ["compare", "--N", "30", "--times", "0.1", "0.2", "--target",
                 "pde", "--replicas", "2", "--seed", "3", "--tolerance", "1"],
-    "pde": ["pde", "--g", "indicator", "--du", "0.02", "--T", "0.4",
-            "--check"],
+    "pde": PDE,
+    # the sub- and supercritical regimes: no boundary, then zero influx
+    "pde-sub": PDE + ["--beta", "-0.5"],
+    "pde-super": PDE + ["--beta", "1"],
     # four replicas leave a zero-width band (exit 2, no file); twenty pin
     # the stationarity JSON
     "invariant": INVARIANT + ["--replicas", "4"],
     "invariant-band": INVARIANT + ["--replicas", "20"],
     **{f"oracle-{mode}": ORACLE + ["--mode", mode]
        for mode in ("exact", "ode", "dual", "killprob")},
+    "oracle-exact-sub": ORACLE + ["--mode", "exact", "--beta", "-0.5"],
+    "oracle-exact-super": ORACLE + ["--mode", "exact", "--beta", "1"],
     **{f"couple-{mode}": COUPLE + ["--mode", mode]
        for mode in ("second-class", "basic", "labeled")},
     "couple-preset": COUPLE + ["--preset", "absorbing-critical", "--t-end",

@@ -28,6 +28,14 @@ class TestModelParams:
     def test_drift(self):
         assert ModelParams(0.75, 0.0, 0.0, 10).drift == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("alpha, beta, field", [
+        (math.nan, 0.0, "alpha"), (math.inf, 0.0, "alpha"),
+        (1.0, math.nan, "beta"), (1.0, -math.inf, "beta")])
+    def test_non_finite_strength_rejected(self, alpha, beta, field):
+        # nan passes alpha < 0; it must fail here, not deep in a run
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            ModelParams(0.75, alpha, beta, 10)
+
     def test_destruction_factor(self):
         pr = ModelParams(0.75, 2.0, 0.5, 100)
         assert pr.destruction_factor == pytest.approx(20.0)

@@ -1,5 +1,6 @@
 """Arrays reach the compiled library only through ``_ckernel``, and
-``_ckernel`` declares each entry point as ``_kernel.c`` defines it.
+``_ckernel`` declares each entry point as ``_kernel.c`` defines it; the
+sign of beta is read only by ``ModelParams.limit_destruction``.
 
 ``_ckernel.Array`` checks every array that crosses into C.  A module that
 imports ``ctypes`` or takes an array's ``.ctypes`` address itself would
@@ -8,6 +9,11 @@ ctypes declaration that drifts from the C definition passes arguments in
 the wrong slots, which corrupts memory without an error, so the two are
 compared parameter by parameter, and ``_ckernel.State`` with the kernel's
 ``zrh_state`` field by field.
+
+The limit regime (no boundary at beta < 0, the Dirichlet map at beta = 0,
+zero influx at beta > 0) is decided once, by
+``ModelParams.limit_destruction``; a comparison of ``beta`` with 0
+anywhere else would decide it a second time.
 """
 import ast
 import ctypes
@@ -51,6 +57,54 @@ def test_only_ckernel_touches_ctypes(path):
         assert ctypes_uses(path.read_text())
     else:
         assert ctypes_uses(path.read_text()) == []
+
+
+def beta_sign_tests(source: str) -> list[int]:
+    """Lines that compare a name or attribute ``beta`` with the constant
+    0, outside ``ModelParams.limit_destruction``."""
+    tree = ast.parse(source)
+    allowed = set()
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and cls.name == "ModelParams":
+            for fn in cls.body:
+                if (isinstance(fn, ast.FunctionDef)
+                        and fn.name == "limit_destruction"):
+                    allowed |= {id(n) for n in ast.walk(fn)}
+
+    def is_beta(n):
+        return ((isinstance(n, ast.Name) and n.id == "beta")
+                or (isinstance(n, ast.Attribute) and n.attr == "beta"))
+
+    def is_zero(n):
+        if isinstance(n, ast.UnaryOp) and isinstance(n.op, ast.USub):
+            n = n.operand
+        return (isinstance(n, ast.Constant) and type(n.value) in (int, float)
+                and n.value == 0)
+
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare) and id(node) not in allowed:
+            operands = [node.left, *node.comparators]
+            if any(map(is_beta, operands)) and any(map(is_zero, operands)):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_finds_beta_sign_tests():
+    source = ("class ModelParams:\n"
+              "    def limit_destruction(self):\n"
+              "        return self.beta < 0\n"
+              "if beta == 0:\n    pass\n"
+              "x = 0.0 < params.beta\n"
+              "y = params.beta < 1.0\n"
+              "z = alpha == 0 or beta > -0.0\n")
+    assert beta_sign_tests(source) == [4, 6, 8]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_only_limit_destruction_reads_the_sign_of_beta(path):
+    assert beta_sign_tests(path.read_text()) == []
 
 
 #: an exported definition: a return type at the start of a line (static
