@@ -16,7 +16,10 @@ of the source, the compiler flags and the host's CPU identity (the
 ``flags`` or ``Features`` line of ``/proc/cpuinfo``, else the machine
 name), so an edited source, new flags or another CPU build afresh: a
 cache shared by two machines never loads a library built for the other
-one's instructions, which would crash rather than raise.  A compiler
+one's instructions, which would crash rather than raise.  Nothing prunes
+the cache, on purpose: two checkouts that share it, as in an A/B timing
+that alternates a change with its parent, each keep their own build
+rather than rebuild the other's inside the timed runs.  A compiler
 that rejects ``-march=native`` builds once more without it, into the same
 name.  A build writes a temporary file and renames it into place, so
 processes that start at once cannot load a half-written library.

@@ -171,12 +171,9 @@ def cmd_invariant(args):
     if args.preset is not None:
         prof = preset_profile(args.preset, params, args.density, thermo,
                               window)
-    elif args.m_plus is not None:
-        prof = build_profile(params, window, m_plus=args.m_plus,
-                             zeta_star=rate.sup_g)
     else:
         prof = build_profile(params, window, c1=args.c1, c2=args.c2,
-                             zeta_star=rate.sup_g)
+                             m_plus=args.m_plus, zeta_star=rate.sup_g)
     doc = {"x_min": prof.x_min, "m": [float(v) for v in prof.m],
            "residual": prof.residual(), "constants": prof.constants}
     if args.validate:

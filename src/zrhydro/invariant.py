@@ -7,8 +7,10 @@ The site fugacities m_x solve the discrete balance system
 
 whose general solution is geometric-plus-constant on each half line:
 m_x = c1 r^x + c2 for x <= 0 and c3 r^x + c4 for x >= 0 with
-r = p/(1-p), glued by c1 + c2 = c3 + c4 and the origin equation.  For
-p = 1 the solution is the two-level profile m_- = (1 + alpha N^beta) m_+.
+r = p/(1-p), glued by c1 + c2 = c3 + c4 and the origin equation.  Given
+(c1, c2) this needs p < 1; the flat-right family (c3 = 0, c4 = m_plus),
+whose right fugacity is (2p-1)/(2p-1+alpha N^beta) times the left one,
+builds at every p, and both presets are members of it.
 
 Profiles are validated on construction: non-negativity, admissible
 fugacities (below the radius of convergence) and the balance residual.
@@ -71,6 +73,11 @@ class StationaryProfile:
         return float(np.max(np.abs(lhs - target), initial=0.0))
 
 
+def _log_r(p: float) -> float:
+    """log r, r = p/(1-p); inf at p = 1, where r**x is 0 on x < 0."""
+    return math.log(p / (1 - p)) if p < 1 else math.inf
+
+
 def maximal_admissible_window(params: ModelParams, c1: float, c2: float,
                               c3: float, c4: float,
                               zeta_star: float = math.inf) -> tuple[int, int]:
@@ -79,7 +86,7 @@ def maximal_admissible_window(params: ModelParams, c1: float, c2: float,
     Admissible means 0 <= m_x < zeta_star.  Scans outward from the
     origin; the left branch is c1 r^x + c2, the right c3 r^x + c4.
     """
-    r = params.p / (1 - params.p)
+    log_r = _log_r(params.p)
     m0 = c1 + c2
 
     def ok(v):
@@ -89,7 +96,7 @@ def maximal_admissible_window(params: ModelParams, c1: float, c2: float,
         raise AdmissibilityError(f"profile inadmissible at the origin: {m0:g}")
     lo = 0
     while lo > -10 ** 7:
-        v = c1 * math.exp((lo - 1) * math.log(r)) + c2
+        v = c1 * math.exp((lo - 1) * log_r) + c2
         if not ok(v):
             break
         lo -= 1
@@ -98,19 +105,19 @@ def maximal_admissible_window(params: ModelParams, c1: float, c2: float,
         if v == c2:
             lo = -10 ** 7
             break
+    if c3 == 0:
+        # a constant branch never forms 0 * r**x, which is nan at p = 1
+        return lo, 10 ** 7 if ok(c4) else 0
     hi = 0
     while hi < 10 ** 7:
         try:
-            v = c3 * math.exp((hi + 1) * math.log(r))
+            v = c3 * math.exp((hi + 1) * log_r)
         except OverflowError:
             v = math.inf if c3 > 0 else -math.inf
         v += c4
         if not ok(v):
             break
         hi += 1
-        if c3 == 0:
-            hi = 10 ** 7
-            break
     return lo, hi
 
 
@@ -120,41 +127,35 @@ def build_profile(params: ModelParams, window: tuple[int, int],
                   zeta_star: float = math.inf) -> StationaryProfile:
     """Construct a stationary fugacity profile on a lattice window.
 
-    For p = 1 supply ``m_plus``; the profile is the two-level solution
-    m_x = (1 + alpha N^beta) m_plus for x < 0, m_plus for x >= 0.  For
-    1/2 < p < 1 supply (c1, c2) on the left branch; the right-branch
-    constants follow from the gluing conditions.
+    ``m_plus`` sets the flat-right profile at every 1/2 < p <= 1: c3 = 0,
+    c4 = m_plus, c1 = -alpha N^beta m_plus / (2p-1), c2 = m_plus - c1, the
+    left branch on x < 0 (at p = 1 the two levels m_plus and
+    (1 + alpha N^beta) m_plus).  At 1/2 < p < 1, (c1, c2) may set the left
+    branch on x <= 0 instead; c3 and c4 follow from the gluing conditions.
     """
     x_lo, x_hi = window
     if x_hi < x_lo:
         raise ValueError("empty window")
     xs = np.arange(x_lo, x_hi + 1)
-    aNb = params.destruction_factor
-
-    if params.p == 1.0:
-        if m_plus is None:
-            raise ValueError("p = 1 profiles are set by m_plus")
-        if m_plus < 0 or (1 + aNb) * m_plus >= zeta_star:
-            raise AdmissibilityError("p = 1 levels outside admissible range")
-        m = np.where(xs < 0, (1 + aNb) * m_plus, m_plus)
-        return StationaryProfile(params, x_lo, m,
-                                 constants={"m_plus": m_plus,
-                                            "m_minus": (1 + aNb) * m_plus})
-
-    if c1 is None or c2 is None:
-        raise ValueError("1/2 < p < 1 profiles are set by (c1, c2)")
-    drift = params.drift
-    c3 = c1 + aNb * (c1 + c2) / drift
-    c4 = c2 - aNb * (c1 + c2) / drift
-    r = params.p / (1 - params.p)
-    # r**x in log space; an overflow to +inf is caught as inadmissible
-    with np.errstate(over="ignore"):
-        geom = np.exp(xs * math.log(r))
-        # a constant branch never forms 0 * r**x, which is nan once r**x
-        # overflows
+    drift, aNb = params.drift, params.destruction_factor
+    if m_plus is not None and c1 is None and c2 is None:
+        c1, c2 = -aNb * m_plus / drift, (aNb + drift) * m_plus / drift
+        c3, c4, split = 0.0, m_plus, 0
+    elif m_plus is not None or c1 is None or c2 is None or params.p == 1.0:
+        raise ValueError("a profile is set by m_plus alone, or by (c1, c2) "
+                         "at 1/2 < p < 1")
+    else:
+        c3 = c1 + aNb * (c1 + c2) / drift
+        c4 = c2 - aNb * (c1 + c2) / drift
+        split = 1
+    # r**x in log space: an overflow to +inf is caught as inadmissible,
+    # and at p = 1 r**x is 0 left of the origin (nan at it, where the flat
+    # right branch holds).  A constant branch never forms 0 * r**x
+    with np.errstate(over="ignore", invalid="ignore"):
+        geom = np.exp(xs * _log_r(params.p))
         left = c1 * geom + c2 if c1 != 0 else c2
         right = c3 * geom + c4 if c3 != 0 else c4
-        m = np.where(xs <= 0, left, right)
+        m = np.where(xs < split, left, right)
     bad = ~((m >= 0) & (m < zeta_star) & np.isfinite(m))
     if np.any(bad):
         lo, hi = maximal_admissible_window(params, c1, c2, c3, c4, zeta_star)
@@ -169,25 +170,22 @@ def build_profile(params: ModelParams, window: tuple[int, int],
 def preset_profile(name: str, params: ModelParams, density: float,
                    thermo: ThermoTable,
                    window: tuple[int, int]) -> StationaryProfile:
-    """Named constant choices for the coupled-process experiments.
+    """Named flat-right profiles for the coupled-process experiments.
 
     ``absorbing-critical`` (beta = 0 regime): right-limit fugacity
-    Phi(c), vanishing geometric part on the right.
+    m_plus = Phi(c).
     ``absorbing-subcritical`` (0 < beta < 1 regime): left-limit fugacity
-    Phi(c), right limit reduced by (2p-1)/(2p-1+alpha N^beta).
+    Phi(c), so m_plus = Phi(c) (2p-1)/(2p-1+alpha N^beta).
     """
     phi_c = thermo.phi(density)
-    drift = params.drift
-    aNb = params.destruction_factor
     if name == "absorbing-critical":
-        c1 = -aNb * phi_c / drift
-        c2 = (aNb + drift) * phi_c / drift
+        m_plus = phi_c
     elif name == "absorbing-subcritical":
-        c1 = -aNb * phi_c / (drift + aNb)
-        c2 = phi_c
+        m_plus = (phi_c * params.drift
+                  / (params.drift + params.destruction_factor))
     else:
         raise ValueError(f"unknown preset {name!r}; choose from {PRESETS}")
-    return build_profile(params, window, c1=c1, c2=c2,
+    return build_profile(params, window, m_plus=m_plus,
                          zeta_star=thermo.rate.sup_g)
 
 

@@ -15,7 +15,8 @@ from zrhydro.engine import (Configuration, EventBudgetError, EventEngine,
                             ModelParams, build_initial, choose_window,
                             empirical_density)
 from zrhydro.harness import ExperimentSpec, compare
-from zrhydro.invariant import build_profile, stationarity_test
+from zrhydro.invariant import (build_profile, preset_profile,
+                               stationarity_test)
 from zrhydro.oracle import (LinearCaseParams, correlation_field,
                             dual_rw_estimate, exact_linear_solution,
                             integrate_density_ode,
@@ -133,6 +134,26 @@ def test_05_invariant_measure_stationarity():
                     ok, f"residual {res:.2e} <= 1e-10; 3-se bands "
                         f"{'ok' if rep.passed else 'violated'} at "
                         f"{len(rep.sites)} sites")
+
+
+@pytest.mark.parametrize("rate, alpha, density", [
+    (linear_rate(), 1.0, 1.0), (indicator_rate(), 2.0, 0.2)],
+    ids=["linear", "indicator"])
+def test_05b_invariant_measure_stationarity_below_p_one(rate, alpha,
+                                                        density):
+    # the origin layer has width at p < 1; the open left edge's depletion
+    # front moves (2p - 1) N = 25 sites per unit time, so it stays far
+    # from the observed sites over t_end = 1
+    params = ModelParams(p=0.75, alpha=alpha, beta=0.0, N=50)
+    thermo = ThermoTable(rate, rho_max=6.0)
+    prof = preset_profile("absorbing-critical", params, density, thermo,
+                          (-120, 120))
+    rep = stationarity_test(prof, rate, thermo, t_end=1.0, replicas=200,
+                            sites=range(-10, 11), master_seed=0)
+    worst = max(abs(s.mean_g - s.target) / s.se_g for s in rep.sites)
+    assert _verdict(f"05b stationarity below p = 1 (alpha {alpha:g})",
+                    rep.passed, f"worst z {worst:.2f} <= 3 at "
+                                f"{len(rep.sites)} sites")
 
 
 def test_06_ordering_preserved_and_pair_mass_conserved(monkeypatch):

@@ -6,17 +6,30 @@ import numpy as np
 import pytest
 
 from zrhydro.engine import ModelParams
-from zrhydro.invariant import (AdmissibilityError, build_profile,
+from zrhydro.invariant import (PRESETS, AdmissibilityError, build_profile,
                                maximal_admissible_window, preset_profile,
                                sample_stationary, stationarity_test)
-from zrhydro.rates import linear_rate
+from zrhydro.pde import _boundary_density
+from zrhydro.rates import linear_rate, rate_from_spec
 from zrhydro.rng import replica_stream
 from zrhydro.thermo import ThermoTable
+
+
+TABLE = "table:0,1,1.5,1.8;slope=0.25"
+#: a density per rate whose presets stay admissible on [-30, 30]
+DENSITY = {"linear": 1.0, "indicator": 0.2, TABLE: 1.5}
 
 
 @pytest.fixture(scope="module")
 def lin_thermo():
     return ThermoTable(linear_rate(), rho_max=6.0)
+
+
+@pytest.fixture(scope="module")
+def thermos():
+    return {spec: ThermoTable(rate_from_spec(spec),
+                              rho_max=40.0 if spec == TABLE else 6.0)
+            for spec in DENSITY}
 
 
 class TestBuildProfile:
@@ -26,6 +39,41 @@ class TestBuildProfile:
         assert np.allclose(prof.m[:10], 2.0)
         assert np.allclose(prof.m[10:], 1.0)
         assert prof.residual() <= 1e-10
+
+    def test_two_level_is_the_flat_right_family(self):
+        params = ModelParams(p=1.0, alpha=1.0, beta=0.0, N=50)
+        prof = build_profile(params, (-10, 10), m_plus=1.0)
+        assert prof.constants == {"c1": -1.0, "c2": 2.0, "c3": 0.0,
+                                  "c4": 1.0}
+        assert np.all(prof.m[:10] == 2.0) and np.all(prof.m[10:] == 1.0)
+
+    def test_flat_right_below_p_one(self):
+        params = ModelParams(p=0.75, alpha=1.0, beta=0.0, N=50)
+        prof = build_profile(params, (-20, 20), m_plus=0.5)
+        c = prof.constants
+        assert c["c3"] == 0.0 and c["c4"] == 0.5
+        assert np.all(prof.m[20:] == 0.5)
+        assert c["c1"] + c["c2"] == pytest.approx(0.5, rel=1e-15)
+        assert prof.residual() <= 1e-10
+
+    @pytest.mark.parametrize("p", [1.0, 0.75])
+    @pytest.mark.parametrize("m_plus, zeta_star", [(-1.0, np.inf),
+                                                   (0.6, 1.0)])
+    def test_inadmissible_flat_right_rejected(self, p, m_plus, zeta_star):
+        # m_+ < 0, then m_- = c2 >= zeta_star
+        params = ModelParams(p=p, alpha=1.0, beta=0.0, N=50)
+        with pytest.raises(AdmissibilityError):
+            build_profile(params, (-5, 5), m_plus=m_plus,
+                          zeta_star=zeta_star)
+
+    @pytest.mark.parametrize("p, kw", [
+        (1.0, {"c1": -0.5, "c2": 1.0}),
+        (0.75, {"c1": -0.5, "c2": 1.0, "m_plus": 0.5}),
+        (0.75, {"c1": -0.5})])
+    def test_constants_set_one_way(self, p, kw):
+        params = ModelParams(p=p, alpha=1.0, beta=0.0, N=50)
+        with pytest.raises(ValueError, match="m_plus alone"):
+            build_profile(params, (-5, 5), **kw)
 
     def test_homogeneous_without_destruction(self):
         params = ModelParams(p=0.75, alpha=0.0, beta=0.0, N=50)
@@ -120,6 +168,43 @@ class TestPresets:
         drift, aNb = params.drift, params.destruction_factor
         expect = drift * lin_thermo.phi(1.0) / (drift + aNb)
         assert prof.m[-1] == pytest.approx(expect, rel=1e-4)
+
+    @pytest.mark.parametrize("name, alpha", [("absorbing-critical", 0.3),
+                                             ("absorbing-subcritical", 0.24)])
+    def test_table_presets_flat_right(self, thermos, name, alpha):
+        params = ModelParams(p=0.9, alpha=alpha, beta=0.0, N=100)
+        prof = preset_profile(name, params, 1.5, thermos[TABLE], (-30, 30))
+        assert prof.constants["c3"] == 0.0
+        assert np.all(prof.m[30:] == prof.constants["c4"])
+
+    @pytest.mark.parametrize("name", PRESETS)
+    def test_presets_at_p_one(self, lin_thermo, name):
+        params = ModelParams(p=1.0, alpha=1.0, beta=0.0, N=50)
+        prof = preset_profile(name, params, 1.0, lin_thermo, (-10, 10))
+        m_plus = lin_thermo.phi(1.0)
+        if name == "absorbing-subcritical":
+            m_plus = (m_plus * params.drift
+                      / (params.drift + params.destruction_factor))
+        ref = build_profile(params, (-10, 10), m_plus=m_plus)
+        assert prof.constants == ref.constants
+        assert prof.m.tobytes() == ref.m.tobytes()
+
+    @pytest.mark.parametrize("name", PRESETS)
+    @pytest.mark.parametrize("k", [0.3, 3.0])
+    @pytest.mark.parametrize("p", [0.75, 0.9, 1.0])
+    @pytest.mark.parametrize("spec", list(DENSITY))
+    def test_pde_boundary_map_is_the_preset(self, thermos, spec, p, k,
+                                            name):
+        # at beta = 0 the PDE's Dirichlet map sends the left density
+        # R(c2) to the right one, R(c4), for alpha on both sides of 2p-1
+        params = ModelParams(p=p, alpha=k * (2 * p - 1), beta=0.0, N=50)
+        thermo = thermos[spec]
+        c = preset_profile(name, params, DENSITY[spec], thermo,
+                           (-30, 30)).constants
+        mapped = _boundary_density(thermo.phi_inverse(c["c2"]), params,
+                                   thermo)
+        assert mapped == pytest.approx(thermo.phi_inverse(c["c4"]),
+                                       rel=1e-9)
 
     def test_unknown_preset(self, lin_thermo):
         params = ModelParams(p=0.75, alpha=1.0, beta=0.0, N=100)

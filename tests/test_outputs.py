@@ -59,6 +59,8 @@ RUNS = {
     # the stationarity JSON
     "invariant": INVARIANT + ["--replicas", "4"],
     "invariant-band": INVARIANT + ["--replicas", "20"],
+    # the same flat-right preset at p = 1, the two-level profile
+    "invariant-p1": INVARIANT + ["--replicas", "20", "--p", "1"],
     **{f"oracle-{mode}": ORACLE + ["--mode", mode]
        for mode in ("exact", "ode", "dual", "killprob")},
     "oracle-exact-sub": ORACLE + ["--mode", "exact", "--beta", "-0.5"],
