@@ -169,6 +169,9 @@ def cmd_invariant(args):
     thermo = ThermoTable(rate, rho_max=max(4.0, 2 * args.density))
     window = (-args.half_window, args.half_window)
     if args.preset is not None:
+        if (args.m_plus, args.c1, args.c2) != (None, None, None):
+            raise ValueError("--preset chooses the profile; drop --m-plus, "
+                             "--c1 and --c2")
         prof = preset_profile(args.preset, params, args.density, thermo,
                               window)
     else:

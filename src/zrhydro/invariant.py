@@ -19,6 +19,7 @@ with the maximal admissible window when the requested one is too large.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -78,47 +79,51 @@ def _log_r(p: float) -> float:
     return math.log(p / (1 - p)) if p < 1 else math.inf
 
 
-def maximal_admissible_window(params: ModelParams, c1: float, c2: float,
-                              c3: float, c4: float,
-                              zeta_star: float = math.inf) -> tuple[int, int]:
-    """Largest lattice interval where the two-branch profile is admissible.
+def _fugacities(params: ModelParams, constants: dict, split: int, xs):
+    """m_x at the sites xs: c1 r^x + c2 left of split, c3 r^x + c4 from it.
 
-    Admissible means 0 <= m_x < zeta_star.  Scans outward from the
-    origin; the left branch is c1 r^x + c2, the right c3 r^x + c4.
+    r**x is taken in log space, so an overflow shows as +inf, and at p = 1
+    it is 0 left of the origin (nan at it, where the flat right branch
+    holds).  A constant branch never forms 0 * r**x.
     """
-    log_r = _log_r(params.p)
-    m0 = c1 + c2
+    c1, c2, c3, c4 = (constants[k] for k in ("c1", "c2", "c3", "c4"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        geom = np.exp(xs * _log_r(params.p))
+        left = c1 * geom + c2 if c1 != 0 else c2
+        right = c3 * geom + c4 if c3 != 0 else c4
+        return np.where(xs < split, left, right)
 
-    def ok(v):
-        return 0.0 <= v < zeta_star
 
-    if not ok(m0):
+def _admissible(m, zeta_star: float):
+    """0 <= m < zeta_star, false at nan and at +inf."""
+    return (m >= 0) & (m < zeta_star)
+
+
+def maximal_admissible_window(params: ModelParams, constants: dict,
+                              split: int,
+                              zeta_star: float = math.inf) -> tuple[int, int]:
+    """Largest lattice interval about the origin where a profile is admissible.
+
+    The profile is c1 r^x + c2 left of ``split`` and c3 r^x + c4 from it,
+    as ``build_profile`` builds it, with ``split`` 0 or 1.  So the sites on
+    either side of the origin lie on one branch, monotone in x, and the
+    admissible ones form one run; a bisection over 10^7 sites finds where
+    it ends, and a run that does not end is reported as reaching +-10^7.
+    """
+    def ok(x):
+        return bool(_admissible(_fugacities(params, constants, split, x),
+                                zeta_star))
+
+    def reach(side):
+        if not ok(side):  # the bisection needs the run to start here
+            return 0
+        return bisect.bisect_left(range(1, 10 ** 7 + 1), True,
+                                  key=lambda k: not ok(side * k))
+
+    if not ok(0):
+        m0 = float(_fugacities(params, constants, split, 0))
         raise AdmissibilityError(f"profile inadmissible at the origin: {m0:g}")
-    lo = 0
-    while lo > -10 ** 7:
-        v = c1 * math.exp((lo - 1) * log_r) + c2
-        if not ok(v):
-            break
-        lo -= 1
-        # once the geometric term rounds away (at once when c1 == 0),
-        # every further site is c2
-        if v == c2:
-            lo = -10 ** 7
-            break
-    if c3 == 0:
-        # a constant branch never forms 0 * r**x, which is nan at p = 1
-        return lo, 10 ** 7 if ok(c4) else 0
-    hi = 0
-    while hi < 10 ** 7:
-        try:
-            v = c3 * math.exp((hi + 1) * log_r)
-        except OverflowError:
-            v = math.inf if c3 > 0 else -math.inf
-        v += c4
-        if not ok(v):
-            break
-        hi += 1
-    return lo, hi
+    return -reach(-1), reach(1)
 
 
 def build_profile(params: ModelParams, window: tuple[int, int],
@@ -136,7 +141,6 @@ def build_profile(params: ModelParams, window: tuple[int, int],
     x_lo, x_hi = window
     if x_hi < x_lo:
         raise ValueError("empty window")
-    xs = np.arange(x_lo, x_hi + 1)
     drift, aNb = params.drift, params.destruction_factor
     if m_plus is not None and c1 is None and c2 is None:
         c1, c2 = -aNb * m_plus / drift, (aNb + drift) * m_plus / drift
@@ -148,23 +152,15 @@ def build_profile(params: ModelParams, window: tuple[int, int],
         c3 = c1 + aNb * (c1 + c2) / drift
         c4 = c2 - aNb * (c1 + c2) / drift
         split = 1
-    # r**x in log space: an overflow to +inf is caught as inadmissible,
-    # and at p = 1 r**x is 0 left of the origin (nan at it, where the flat
-    # right branch holds).  A constant branch never forms 0 * r**x
-    with np.errstate(over="ignore", invalid="ignore"):
-        geom = np.exp(xs * _log_r(params.p))
-        left = c1 * geom + c2 if c1 != 0 else c2
-        right = c3 * geom + c4 if c3 != 0 else c4
-        m = np.where(xs < split, left, right)
-    bad = ~((m >= 0) & (m < zeta_star) & np.isfinite(m))
-    if np.any(bad):
-        lo, hi = maximal_admissible_window(params, c1, c2, c3, c4, zeta_star)
+    constants = {"c1": c1, "c2": c2, "c3": c3, "c4": c4}
+    m = _fugacities(params, constants, split, np.arange(x_lo, x_hi + 1))
+    if not np.all(_admissible(m, zeta_star)):
+        lo, hi = maximal_admissible_window(params, constants, split,
+                                           zeta_star)
         raise AdmissibilityError(
             f"profile inadmissible on [{x_lo}, {x_hi}]; maximal admissible "
             f"window is [{lo}, {hi}]")
-    return StationaryProfile(params, x_lo, m,
-                             constants={"c1": c1, "c2": c2,
-                                        "c3": c3, "c4": c4})
+    return StationaryProfile(params, x_lo, m, constants=constants)
 
 
 def preset_profile(name: str, params: ModelParams, density: float,

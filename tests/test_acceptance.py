@@ -136,22 +136,27 @@ def test_05_invariant_measure_stationarity():
                         f"{len(rep.sites)} sites")
 
 
-@pytest.mark.parametrize("rate, alpha, density", [
-    (linear_rate(), 1.0, 1.0), (indicator_rate(), 2.0, 0.2)],
-    ids=["linear", "indicator"])
-def test_05b_invariant_measure_stationarity_below_p_one(rate, alpha,
-                                                        density):
+@pytest.mark.parametrize("rate, preset, alpha, beta, density", [
+    (linear_rate(), "absorbing-critical", 1.0, 0.0, 1.0),
+    (indicator_rate(), "absorbing-critical", 2.0, 0.0, 0.2),
+    (linear_rate(), "absorbing-subcritical", 0.15, 0.5, 2.0)],
+    ids=["linear", "indicator", "subcritical"])
+def test_05b_invariant_measure_stationarity_below_p_one(rate, preset, alpha,
+                                                        beta, density):
     # the origin layer has width at p < 1; the open left edge's depletion
     # front moves (2p - 1) N = 25 sites per unit time, so it stays far
-    # from the observed sites over t_end = 1
-    params = ModelParams(p=0.75, alpha=alpha, beta=0.0, N=50)
+    # from the observed sites over t_end = 1.  The subcritical case keeps
+    # alpha N^beta / (2p - 1) near 2, where a change of alpha moves the
+    # right fugacity, 1/(1 + alpha N^beta / (2p - 1)) = 0.32 of the left
+    # one, most against its noise
+    params = ModelParams(p=0.75, alpha=alpha, beta=beta, N=50)
     thermo = ThermoTable(rate, rho_max=6.0)
-    prof = preset_profile("absorbing-critical", params, density, thermo,
-                          (-120, 120))
+    prof = preset_profile(preset, params, density, thermo, (-120, 120))
     rep = stationarity_test(prof, rate, thermo, t_end=1.0, replicas=200,
                             sites=range(-10, 11), master_seed=0)
     worst = max(abs(s.mean_g - s.target) / s.se_g for s in rep.sites)
-    assert _verdict(f"05b stationarity below p = 1 (alpha {alpha:g})",
+    assert _verdict(f"05b stationarity below p = 1 ({preset}, alpha "
+                    f"{alpha:g}, beta {beta:g})",
                     rep.passed, f"worst z {worst:.2f} <= 3 at "
                                 f"{len(rep.sites)} sites")
 

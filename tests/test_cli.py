@@ -414,6 +414,19 @@ def test_one_replica_cannot_validate(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--m-plus", "--c1", "--c2"])
+def test_preset_excludes_profile_constants(flag, tmp_path, capsys):
+    # the preset profile was written and the flag silently ignored
+    out = tmp_path / "inv.json"
+    rc = main(["invariant", "--preset", "absorbing-critical", "--N", "20",
+               "--half-window", "3", flag, "0.5", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "zrh invariant: error: --preset chooses the profile; drop "
+        "--m-plus, --c1 and --c2\n")
+    assert not out.exists()
+
+
 def test_zero_width_band_is_a_usage_error(tmp_path, capsys):
     # every replica reads g = 0 at x = 2, so se is 0 and the site failed
     # on a band of no width

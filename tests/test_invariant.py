@@ -1,9 +1,12 @@
+import math
 import re
 import time
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from zrhydro.engine import ModelParams
 from zrhydro.invariant import (PRESETS, AdmissibilityError, build_profile,
@@ -18,6 +21,10 @@ from zrhydro.thermo import ThermoTable
 TABLE = "table:0,1,1.5,1.8;slope=0.25"
 #: a density per rate whose presets stay admissible on [-30, 30]
 DENSITY = {"linear": 1.0, "indicator": 0.2, TABLE: 1.5}
+#: the window that an AdmissibilityError reports
+REPORT = re.compile(r"maximal admissible window is \[(-?\d+), (-?\d+)\]")
+#: a probe's distance from the origin, near it or up to 2 * 10^6 out
+PROBE = st.one_of(st.integers(1, 30), st.integers(1, 2 * 10 ** 6))
 
 
 @pytest.fixture(scope="module")
@@ -111,23 +118,85 @@ class TestBuildProfile:
 
     def test_maximal_window_reported(self):
         params = ModelParams(p=0.75, alpha=1.0, beta=0.0, N=100)
-        lo, hi = maximal_admissible_window(params, 0.0, 0.5, 1.0, -0.5,
-                                           zeta_star=5.0)
+        lo, hi = maximal_admissible_window(
+            params, {"c1": 0.0, "c2": 0.5, "c3": 1.0, "c4": -0.5}, split=1,
+            zeta_star=5.0)
         # right branch 3^x - 0.5 crosses 5.0 between x=1 and x=2
         assert hi == 1
         assert lo <= -10 ** 6  # constant left branch never fails
 
     def test_settled_left_branch_reported_fast_and_quietly(self):
-        # c1 = c2 = 1: the left branch tends to c2 and stays admissible,
-        # while the right branch, 5 * 3^x - 3, overflows a double at x = 645
-        params = ModelParams(p=0.75, alpha=1.0, beta=0.0, N=100)
-        start = time.perf_counter()
+        # c1 = c2 = 1 at p = 0.75: the left branch tends to c2 and stays
+        # admissible, while the right branch, 5 * 3^x - 3, overflows a
+        # double at x = 645.  c1 = 1, c2 = -0.9999 at p = 0.50002 and
+        # alpha = 0: the right branch r^x - 0.9999 grows so slowly that it
+        # overflows only at x = 8872284
+        cases = [(0.75, 1.0, (-10, 700), 1.0, 1.0, "[-10000000, 644]"),
+                 (0.50002, 0.0, (-5, 5), 1.0, -0.9999, "[-1, 8872283]")]
+        for p, alpha, window, c1, c2, report in cases:
+            params = ModelParams(p=p, alpha=alpha, beta=0.0, N=100)
+            start = time.perf_counter()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(AdmissibilityError, match=re.escape(
+                        f"maximal admissible window is {report}")):
+                    build_profile(params, window, c1=c1, c2=c2)
+            assert time.perf_counter() - start < 1.0
+
+    def test_origin_read_from_its_branch(self):
+        # the flat-right profile holds c4 = m_plus = zeta_star at the
+        # origin, while c1 + c2 rounds to 0.29999999999999993 there
+        params = ModelParams(p=0.75, alpha=1.0, beta=0.0, N=50)
+        with pytest.raises(AdmissibilityError,
+                           match="inadmissible at the origin: 0.3$"):
+            build_profile(params, (-5, 5), m_plus=0.3, zeta_star=0.3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=st.one_of(st.floats(0.5, 1.0, exclude_min=True),
+                       # p near 1/2 puts the ends of a window far out
+                       st.floats(0.5, 0.5001, exclude_min=True)),
+           alpha=st.floats(0.0, 2.0), beta=st.sampled_from([-1.0, 0.0, 1.0]),
+           N=st.integers(1, 100),
+           constants=st.one_of(
+               st.fixed_dictionaries({"m_plus": st.floats(0.0, 3.0)}),
+               st.fixed_dictionaries({"c1": st.floats(-2.0, 2.0),
+                                      "c2": st.floats(-2.0, 3.0)})),
+           zeta_star=st.one_of(st.just(math.inf), st.floats(0.01, 5.0)),
+           probes=st.tuples(PROBE.map(lambda k: -k), PROBE))
+    @example(p=0.50002, alpha=0.0, beta=0.0, N=100,
+             constants={"c1": 1.0, "c2": -0.9999}, zeta_star=math.inf,
+             probes=(-5, 9 * 10 ** 6))
+    @example(p=0.5001, alpha=1e-3, beta=0.0, N=1, constants={"m_plus": 1.0},
+             zeta_star=3.0, probes=(-2000, 5))
+    def test_reported_window_ends_are_exact(self, p, alpha, beta, N,
+                                            constants, zeta_star, probes):
+        # wherever a one-site window at a probe is refused with a window
+        # report, each finite end of the report builds as a one-site
+        # window, and the site past it does not
+        assume(p < 1 or "m_plus" in constants)
+        params = ModelParams(p=p, alpha=alpha, beta=beta, N=N)
+
+        def refusal(site):
+            try:
+                build_profile(params, (site, site), zeta_star=zeta_star,
+                              **constants)
+            except AdmissibilityError as err:
+                return str(err)
+            return None
+
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(AdmissibilityError, match=re.escape(
-                    "maximal admissible window is [-10000000, 644]")):
-                build_profile(params, (-10, 700), c1=1.0, c2=1.0)
-        assert time.perf_counter() - start < 1.0
+            for x in probes:
+                err = refusal(x)
+                report = err and REPORT.search(err)
+                if not report:  # the probe built, or the origin failed
+                    assert err is None or refusal(0) == err
+                    continue
+                lo, hi = map(int, report.groups())
+                assert lo <= 0 <= hi and not lo <= x <= hi
+                for end, past in ((lo, lo - 1), (hi, hi + 1)):
+                    if abs(end) < 10 ** 7:
+                        assert refusal(end) is None and refusal(past)
 
     def test_residual_at_origin_with_destruction(self):
         params = ModelParams(p=0.75, alpha=2.0, beta=0.5, N=64)

@@ -14,6 +14,9 @@ The limit regime (no boundary at beta < 0, the Dirichlet map at beta = 0,
 zero influx at beta > 0) is decided once, by
 ``ModelParams.limit_destruction``; a comparison of ``beta`` with 0
 anywhere else would decide it a second time.
+
+The two-branch fugacity profile m_x = c r^x + d is evaluated once, by
+``invariant._fugacities``, the only reader of ``_log_r``, which forms r^x.
 """
 import ast
 import ctypes
@@ -105,6 +108,36 @@ def test_finds_beta_sign_tests():
                          ids=lambda p: p.name)
 def test_only_limit_destruction_reads_the_sign_of_beta(path):
     assert beta_sign_tests(path.read_text()) == []
+
+
+def log_r_readers(source: str) -> set:
+    """The innermost functions (``<module>`` outside any) that read the
+    name ``_log_r``."""
+    readers = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name) and child.id == "_log_r":
+                readers.add(owner)
+            visit(child, child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner)
+
+    visit(ast.parse(source), "<module>")
+    return readers
+
+
+def test_finds_log_r_readers():
+    source = ("def _log_r(p):\n    return p\n"
+              "def f(p):\n    return _log_r(p)\n"
+              "def g():\n    def h(p):\n        return _log_r(p)\n"
+              "    return h\n"
+              "k = _log_r(0.75)\n")
+    assert log_r_readers(source) == {"f", "h", "<module>"}
+
+
+def test_one_function_forms_r_to_the_x():
+    # a second reader would write the two-branch profile a second time
+    assert log_r_readers((SRC / "invariant.py").read_text()) == {"_fugacities"}
 
 
 #: an exported definition: a return type at the start of a line (static
