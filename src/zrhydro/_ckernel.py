@@ -1,12 +1,13 @@
 """Build and load the compiled library, ``_kernel.c``.
 
 The library holds the engines' event loop (``zrh_run``), the sum-tree
-build (``zrh_build``), and the PDE layer's upwind march (``zrh_march``,
+build (``zrh_build``), the PDE layer's upwind march (``zrh_march``,
 with ``zrh_interp``), Phi/R series (``zrh_phi``, ``zrh_density``) and
 Kruzhkov integrals (``zrh_kruzhkov``, one test function's grid window in
-place, with numpy's pairwise row sums and ``np.trapezoid``).  Each repeats
-its Python reference bit for bit; the reference raises every error, and
-runs everything when no library loads.
+place, with numpy's pairwise row sums and ``np.trapezoid``), and
+``DensityProfile``'s lookup at many points (``zrh_lookup``).  Each
+repeats its Python reference bit for bit; the reference raises every
+error, and runs everything when no library loads.
 
 The library is compiled on first use with the system C compiler ``cc``
 for the host's own CPU (``-march=native``) and loaded with ``ctypes``;
@@ -49,12 +50,16 @@ numpy code.
 event loop's speed does not hang on where the code before it ends.  On a
 2-CPU x86-64 host, appending a routine without the flag moved the loop
 and made it faster per event in 32 and 35 of 40 alternated pairs; the
-flag alone made it about 6% faster, in 39 of 40.
+flag alone made it about 6% faster, in 39 of 40.  New routines are
+appended after every existing one all the same, so that the code before
+them does not move.
 
 Every array crosses into C through ``Array``: an entry point's pointer
 argument or a ``State`` pointer field takes only a C-contiguous numpy
 array of its element type, or None where C takes NULL; anything else
 raises TypeError before C runs (ctypes' ArgumentError on a call).
+``State.share`` also checks each array's length against what the event
+loop reads, once per run rather than once per event.
 """
 from __future__ import annotations
 
@@ -104,7 +109,10 @@ F64, I64, F64_OR_NULL = Array(np.float64), Array(np.int64), \
 
 
 class State(ctypes.Structure):
-    """The kernel's ``zrh_state``; see ``_kernel.c``."""
+    """The kernel's ``zrh_state``; see ``_kernel.c``.
+
+    ``top``, which C does not read, is the largest occupation the g table
+    ``gt`` covers: the bound the engine sized that table for."""
 
     #: the element type of each pointer field
     _arrays = dict(gt=F64, scale=F64, rates=F64, tree=F64, a=I64, b=I64,
@@ -115,12 +123,30 @@ class State(ctypes.Structure):
         [(name, ctypes.c_void_p) for name in _arrays] + \
         [(name, _i64) for name in ("buf_n", "i", "events", "ev_max")] + \
         [(name, _f64) for name in ("t", "total", "t_stop")]
+    #: the counters ``cnt`` holds in each mode: EVENT, BASIC, SECOND,
+    #: LABELED
+    COUNTERS = (3, 7, 3, 2)
+    top = 0
+
+    def lengths(self) -> dict:
+        """The entries C reads of each pointer field but ``buf``."""
+        n = self.n
+        return dict(gt=self.top + 1, scale=n, rates=n, tree=n + 1, a=n, b=n,
+                    cnt=self.COUNTERS[self.mode])
 
     def share(self, **arrays):
         """Point the named fields at these arrays, each checked as an
-        entry point's argument is."""
+        entry point's argument is and then against its length in
+        ``lengths()``, with ValueError; ``buf`` sets ``buf_n``."""
+        want = self.lengths()
         for name, a in arrays.items():
-            setattr(self, name, self._arrays[name].from_param(a))
+            ptr = self._arrays[name].from_param(a)
+            if name == "buf":
+                self.buf_n = a.size
+            elif a.size != want[name]:
+                raise ValueError(f"State.{name} holds {a.size} entries; "
+                                 f"the kernel reads {want[name]}")
+            setattr(self, name, ptr)
 
 
 class KernelUnavailable(RuntimeError):
@@ -141,6 +167,7 @@ ENTRY_POINTS = {
                             _f64, F64, F64, _i64, _f64, _f64, _f64,
                             F64_OR_NULL, _i64, _i64, F64, F64, _i64, _f64,
                             _f64, _f64, F64, F64, F64]),
+    "zrh_lookup": (None, [F64, _i64, _f64, _f64, F64, _i64, F64]),
 }
 
 #: the loaded library, or None after a failed load; unset until the first

@@ -1,6 +1,7 @@
 /* Compiled inner loops of zrhydro: the event loop of its four processes,
- * the sum-tree build, and the upwind march, the Phi/R series and the
- * Kruzhkov entropy integrals of the PDE layer.  Each repeats its Python
+ * the sum-tree build, the upwind march, the Phi/R series and the
+ * Kruzhkov entropy integrals of the PDE layer, and the lookup of a
+ * piecewise-constant profile at many points.  Each repeats its Python
  * reference operation for operation, so the two give bit-identical
  * results (build with -ffp-contract=off and no -ffast-math).  A routine
  * that meets an error returns a non-zero status and the caller re-runs
@@ -709,4 +710,16 @@ int zrh_kruzhkov(const double *vals, int64_t n0, int64_t nt, int64_t j0,
         bad |= !isfinite(I[k]) || !isfinite(B[k]);
     }
     return bad;
+}
+
+/* DensityProfile.__call__ at the m points u: out[i] = values[j] for the
+ * cell j = floor((u[i] - u_min) / du) when 0 <= j < n, else 0, as its
+ * numpy reference computes it; a NaN point lies in no cell. */
+void zrh_lookup(const double *u, int64_t m, double u_min, double du,
+                const double *values, int64_t n, double *out)
+{
+    for (int64_t i = 0; i < m; i++) {
+        double j = floor((u[i] - u_min) / du);
+        out[i] = j >= 0.0 && j < (double)n ? values[(int64_t)j] : 0.0;
+    }
 }

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import LEAK_FRACTION, Configuration, GillespieLoop, ModelParams
+from .engine import (LEAK_FRACTION, Configuration, GillespieLoop,
+                     ModelParams, _ints, _sum)
 from .rates import RateFunction
 
 
@@ -84,11 +85,11 @@ class BasicCouplingEngine(GillespieLoop):
         cb.occ = self.occupations_varpi()
         (ca.destroyed_count, ca.exited_left, ca.exited_right,
          cb.destroyed_count, cb.exited_left, cb.exited_right) = (
-            int(k) for k in self._cnt[:6])
+            _ints(self._cnt)[:6])
 
     def _balance(self):
-        return (int(np.sum(self._a) + np.sum(self._cnt[:3])),
-                int(np.sum(self._b) + np.sum(self._cnt[3:6])))
+        cnt = _ints(self._cnt)
+        return (_sum(self._a) + sum(cnt[:3]), _sum(self._b) + sum(cnt[3:6]))
 
     def _step(self):
         a, b, scale, gt, cnt = self._a, self._b, self._scale, self._gt, \
@@ -213,8 +214,8 @@ class SecondClassEngine(GillespieLoop):
             conversions=self.conversions)
 
     def _balance(self):
-        return (int(np.sum(self._w) + np.sum(self._z) + self._cnt[1]
-                    + self._cnt[2]),)
+        cnt = _ints(self._cnt)
+        return (_sum(self._w) + _sum(self._z) + cnt[1] + cnt[2],)
 
     def _step(self):
         w, z, scale, gt, cnt = self._w, self._z, self._scale, self._gt, \
@@ -301,11 +302,11 @@ class LabeledCouplingEngine(GillespieLoop):
         return np.asarray(self._scale) * np.asarray(self._gt)[self._omega]
 
     def _balance(self):
-        return (int(np.sum(self._omega) + np.sum(self._cnt)),)
+        return (_sum(self._omega) + _sum(self._cnt),)
 
     def discrepancy(self) -> int:
         """Surviving uncoupled omega-particles: sum |eta - omega|."""
-        return int(np.sum(self._omega) - np.sum(self._eta))
+        return _sum(self._omega) - _sum(self._eta)
 
     def run(self, t_end: float) -> int:
         """Run to ``t_end``; returns the discrepancy.  A run that starts at

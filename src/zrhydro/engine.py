@@ -111,7 +111,7 @@ class Configuration:
 
     def __post_init__(self):
         self.occ = np.asarray(self.occ, dtype=np.int64)
-        if np.any(self.occ < 0):
+        if (self.occ < 0).any():
             raise ValueError("occupations must be non-negative")
 
     @property
@@ -160,15 +160,44 @@ class CallbackObserver:
         self.fn(t, engine)
 
 
+def _sum(a) -> int:
+    """The sum of a state container: the kernel's array, summed once, or
+    the Python loop's list."""
+    return int(a.sum()) if isinstance(a, np.ndarray) else sum(a)
+
+
+def _ints(a) -> list:
+    """A counter container as Python ints: the kernel's array through
+    one ``tolist()``, or the Python loop's list itself."""
+    return a.tolist() if isinstance(a, np.ndarray) else a
+
+
+def _tree_nodes(v: np.ndarray) -> np.ndarray:
+    """The sum-tree nodes of ``v``, the reference of ``zrh_build``: node
+    j sums v[j - lowbit(j):j] in index order, exactly as adding each
+    value to its ancestors one at a time would; a running sum over the
+    aligned blocks of each size gives them all."""
+    n = len(v)
+    t = np.zeros(n + 1)
+    k = 1
+    while k <= n:
+        m = n // k
+        sums = np.add.accumulate(v[:m * k].reshape(m, k), axis=1)[:, -1]
+        t[k::2 * k] = sums[::2]
+        k *= 2
+    return t
+
+
 class SumTree:
     """Binary-indexed tree over non-negative per-site rates.
 
     The tree owns ``values``, the per-site rates, beside its nodes
     ``tree``.  Both are lists when the tree is built from a list (the
     Python loop indexes them faster) and numpy arrays when it is built
-    from an array (the compiled kernel shares them); ``rebuild`` and
-    ``set`` change them in place.  ``rebuild`` forms an array-backed
-    tree's nodes in the compiled library when one loads.  ``set`` moves a
+    from an array (the compiled kernel shares them), which then becomes
+    the tree's own unless it must be converted to contiguous float64;
+    ``rebuild`` and ``set`` change them in place.  An array-backed tree
+    forms its nodes in the compiled library when one loads.  ``set`` moves a
     value and the nodes together, as the kernel's ``refresh()`` does;
     ``update`` moves the nodes only.
     """
@@ -176,33 +205,32 @@ class SumTree:
     def __init__(self, values):
         self.n = n = len(values)
         if isinstance(values, np.ndarray):
-            self.values, self.tree = np.zeros(n), np.zeros(n + 1)
+            # the array becomes the tree's own; _nodes fills every node
+            self.values = np.ascontiguousarray(values, dtype=np.float64)
+            self.tree = np.empty(n + 1)
+            self._nodes()
         else:
             self.values, self.tree = [0.0] * n, [0.0] * (n + 1)
-        self.rebuild(values)
+            self.rebuild(values)
 
     def rebuild(self, values):
-        """Node j sums values[j - lowbit(j):j] in index order, exactly as
-        adding each value to its ancestors one at a time would; a
-        running sum over the aligned blocks of each size gives them
-        all."""
-        n = self.n
-        v = np.asarray(values, dtype=np.float64)
-        lib = None if isinstance(self.tree, list) else _ckernel.load()
-        if lib is not None:
-            self.values[:] = v
-            lib.zrh_build(self.values, self.tree, n)
-            return
-        t = np.zeros(n + 1)
-        k = 1
-        while k <= n:
-            m = n // k
-            sums = np.add.accumulate(v[:m * k].reshape(m, k), axis=1)[:, -1]
-            t[k::2 * k] = sums[::2]
-            k *= 2
+        """Set every value and form the nodes afresh."""
         if isinstance(self.tree, list):
-            v, t = v.tolist(), t.tolist()
-        self.values[:], self.tree[:] = v, t
+            v = np.asarray(values, dtype=np.float64)
+            self.values[:] = v.tolist()
+            self.tree[:] = _tree_nodes(v).tolist()
+        else:
+            self.values[:] = values
+            self._nodes()
+
+    def _nodes(self):
+        """Form an array-backed tree's nodes from its values, in the
+        compiled library when one loads."""
+        lib = _ckernel.load()
+        if lib is None:
+            self.tree[:] = _tree_nodes(self.values)
+        else:
+            lib.zrh_build(self.values, self.tree, self.n)
 
     def set(self, i: int, r: float) -> float:
         """Set site ``i`` to rate ``r``; returns the change of the total.
@@ -314,7 +342,8 @@ class GillespieLoop:
         one loads, or as lists for the Python loop.  The starting balance
         sets the leak cap."""
         a, b = (getattr(self, name) for name in self._OCC)
-        self._gt = self.rate.table(int(max(a.sum(), b.sum())) + 2)
+        top = int(max(a.sum(), b.sum())) + 2
+        self._gt = self.rate.table(top)
         self._cnt = np.array(self._cnt, dtype=np.int64)
         rates = self._site_rates()
         self._total = self._rebuilt = math.fsum(rates.tolist())
@@ -329,7 +358,7 @@ class GillespieLoop:
                                 origin=self._origin, closed=self._closed,
                                 guard=self.order_guard, p=self.params.p,
                                 d0=self._d0, conv=self._conv,
-                                leak_cap=self._leak_cap)
+                                leak_cap=self._leak_cap, top=top)
             st.share(gt=self._gt, rates=self._tree.values,
                      tree=self._tree.tree, cnt=self._cnt, scale=self._scale,
                      a=a, b=b)
@@ -354,7 +383,6 @@ class GillespieLoop:
             if ub._buf is not self._st_buf:
                 self._st_buf = ub._buf
                 st.share(buf=ub._buf)
-                st.buf_n = len(ub._buf)
             st.i = ub._i
             self._kernel_run(st)
             ub._i = st.i
@@ -385,11 +413,14 @@ class GillespieLoop:
         """Recompute all rates from scratch; raise on drift."""
         fresh = self._site_rates()
         held = self._tree.values
-        drift = np.abs(fresh - np.asarray(held, dtype=np.float64))
-        bad = np.flatnonzero(
-            drift > RATE_REL_TOL * np.maximum(1.0, np.abs(fresh)))
-        if bad.size:
-            i = int(bad[0])
+        drift = fresh - np.asarray(held, dtype=np.float64)
+        np.abs(drift, out=drift)
+        bound = np.abs(fresh)
+        np.maximum(bound, 1.0, out=bound)
+        bound *= RATE_REL_TOL
+        bad = drift > bound
+        i = int(bad.argmax())
+        if bad[i]:
             raise RateConsistencyError(f"site {i}: {held[i]} != {fresh[i]}")
         # the running total carries rounding from every total since the
         # last rebuild, so its bound scales with that rebuild's total too
@@ -409,7 +440,7 @@ class GillespieLoop:
         wall0 = _time.perf_counter()
         events_start = self.n_events
         self._loop(t_end, observers)
-        destroyed, left, right = (int(k) for k in self._cnt[:3])
+        destroyed, left, right = _ints(self._cnt)[:3]
         return TrajectoryRecord(
             t_end=self.time, n_events=self.n_events - events_start,
             wall_time=_time.perf_counter() - wall0,
@@ -521,11 +552,10 @@ class EventEngine(GillespieLoop):
     def _sync(self):
         c = self.config
         c.occ = self.occupations()
-        c.destroyed_count, c.exited_left, c.exited_right = (
-            int(k) for k in self._cnt)
+        c.destroyed_count, c.exited_left, c.exited_right = _ints(self._cnt)
 
     def _balance(self):
-        return (int(np.sum(self._occ) + np.sum(self._cnt)),)
+        return (_sum(self._occ) + _sum(self._cnt),)
 
     def _step(self):
         occ, scale, gt, cnt = self._occ, self._scale, self._gt, self._cnt

@@ -53,9 +53,12 @@ def exact_linear_solution(rho0, lin: LinearCaseParams, t: float, u):
     pr = lin.params
     shift = pr.drift * t
     u = np.asarray(u, dtype=float)
-    base = rho0(u - shift)
-    factor = 1.0 - lin.alpha_tilde * ((u >= 0) & (u < shift))
-    out = factor * base
+    out = np.array(rho0(u - shift), dtype=float)
+    if out.shape != u.shape:
+        # a rho0 that returned one value for every point
+        out = np.array(np.broadcast_to(out, u.shape))
+    np.multiply(out, 1.0 - lin.alpha_tilde, out=out,
+                where=(u >= 0) & (u < shift))
     return float(out) if out.ndim == 0 else out
 
 

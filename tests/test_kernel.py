@@ -39,9 +39,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 REFILL_EVENTS = (1 << 16) // 4
 
 
-def _long_run(kind):
-    """Two runs of one engine on a closed 121-site window, with observers,
-    past two buffer refills; returns the engine and what it observed."""
+def _closed_engine(kind):
+    """An engine of this kind on a closed 121-site window."""
     gen = np.random.default_rng(7)
     occ = gen.poisson(3.0, 121)
     spec, beta, alpha = {"event": ("linear", 0.0, 0.2),
@@ -64,6 +63,13 @@ def _long_run(kind):
         eng = SecondClassEngine(cfg(occ), params, rate, rng)
     else:
         eng = LabeledCouplingEngine(cfg(occ), params, rate, rng)
+    return eng
+
+
+def _long_run(kind):
+    """Two runs of one engine on a closed 121-site window, with observers,
+    past two buffer refills; returns the engine and what it observed."""
+    eng = _closed_engine(kind)
     seen = []
     for t_end, times in ((1.0, (0.1, 0.5, 1.0)), (3.5, (1.7,))):
         if kind == "labeled":
@@ -488,13 +494,34 @@ def test_null_only_where_the_kernel_takes_it(c_kernel):
 @pytest.mark.parametrize("field", sorted(_ckernel.State._arrays))
 def test_state_fields_take_only_their_element_type(field, kind):
     dtype = _ckernel.State._arrays[field].dtype
-    st = _ckernel.State()
-    st.share(**{field: np.zeros(8, dtype)})
+    st = _ckernel.State(n=8, top=7)
+    st.share(**{field: np.zeros(st.lengths().get(field, 8), dtype)})
     held = getattr(st, field)
     with pytest.raises(TypeError, match=f"expected a C-contiguous {dtype} "
                                         "array"):
         st.share(**{field: _bad(kind, dtype)})
     assert getattr(st, field) == held
+
+
+@pytest.mark.parametrize("kind", ["event", "basic", "second", "labeled"])
+def test_state_rejects_an_array_one_short(kind, c_kernel):
+    # C trusts n, the mode's counter count and the occupation bound the g
+    # table was sized for; an array one short would be read past its end
+    eng = _closed_engine(kind)
+    st, n = eng._st, eng._n
+    want = dict(rates=n, scale=n, a=n, b=n, tree=n + 1, cnt=len(eng._cnt),
+                gt=len(eng._gt))
+    for field, m in want.items():
+        held = getattr(st, field)
+        short = np.zeros(m - 1, _ckernel.State._arrays[field].dtype)
+        with pytest.raises(ValueError, match=rf"^State\.{field} holds "
+                                             rf"{m - 1} entries; the kernel "
+                                             rf"reads {m}$"):
+            st.share(**{field: short})
+        assert getattr(st, field) == held
+    assert st.lengths() == want
+    st.share(buf=np.zeros(12))
+    assert st.buf_n == 12
 
 
 def test_empty_and_read_only_arrays_cross(c_kernel, monkeypatch):

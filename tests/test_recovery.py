@@ -203,6 +203,22 @@ def test_emptied_window_passes_the_rate_audit(kernel):
     assert rec.destroyed_count + rec.exited_left + rec.exited_right == 2000
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_rate_audit_names_the_first_drifted_site(kind, kernel):
+    # drift within RATE_REL_TOL of a rate is rounding; the first site
+    # past it is named, with the held and the rebuilt rate
+    eng = _make(kind, [2] * 101, _params(kind))
+    assert eng.kernel == kernel
+    fresh = eng._site_rates()
+    held = eng._tree.values
+    held[3] *= 1 + 1e-11
+    held[12] += 1e-3
+    held[40] += 7.0
+    with pytest.raises(RateConsistencyError,
+                       match=rf"^site 12: {held[12]} != {fresh[12]}$"):
+        eng.verify_rates()
+
+
 def test_rate_audit_still_sees_drift(kernel):
     # a running total off by 1e-8 of the rebuilt one is drift
     eng = _emptying_window()

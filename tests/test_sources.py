@@ -142,8 +142,9 @@ def test_one_function_forms_r_to_the_x():
 
 #: an exported definition: a return type at the start of a line (static
 #: helpers start with "static"), a zrh_ name and its parameter list
-C_DEFINITION = re.compile(r"^(void|int)\s+(zrh_\w+)\s*\(([^)]*)\)\s*\{",
-                          re.MULTILINE)
+C_DEFINITION = re.compile(
+    r"^(void|int|int64_t|double)\s+(zrh_\w+)\s*\(([^)]*)\)\s*\{",
+    re.MULTILINE)
 
 
 def _c_kind(param: str) -> str:
@@ -194,6 +195,44 @@ def test_finds_c_signatures_and_their_drift():
                     {"zrh_a": (ctypes.c_int, [_ckernel.F64, _d, _i])},
                     {"zrh_a": (None, [_ckernel.F64, _i, _d])}):
         assert ctypes_signatures(drifted)["zrh_a"] != c["zrh_a"]
+
+
+def entry_point_drift(source: str, entry_points: dict) -> list:
+    """How the exported zrh_* definitions of ``source`` and the declared
+    ``entry_points`` differ: a name only one side has, or a name whose
+    parameter counts differ."""
+    c = {name: len(kinds)
+         for name, (_, kinds) in c_signatures(source).items()}
+    py = {name: len(argtypes)
+          for name, (_, argtypes) in entry_points.items()}
+    return ([f"{name} is not declared" for name in sorted(c.keys() - py)]
+            + [f"{name} is not defined" for name in sorted(py.keys() - c)]
+            + [f"{name} takes {c[name]} parameters, {py[name]} declared"
+               for name in sorted(c.keys() & py.keys())
+               if c[name] != py[name]])
+
+
+def test_finds_a_missing_entry_point_and_a_miscount():
+    source = ("int zrh_a(const double *x, int64_t n)\n{\n}\n"
+              "void zrh_b(double *out, int64_t n,\n"
+              "           double d)\n{\n}\n"
+              "double zrh_c(void)\n{\n}\n"
+              "static int zrh_helper(int k)\n{\n}\n")
+    _d, _i = ctypes.c_double, ctypes.c_int64
+    whole = {"zrh_a": (ctypes.c_int, [_ckernel.F64, _i]),
+             "zrh_b": (None, [_ckernel.F64, _i, _d]),
+             "zrh_c": (_d, [])}
+    assert entry_point_drift(source, whole) == []
+    drifted = {"zrh_a": (ctypes.c_int, [_ckernel.F64, _i, _i]),
+               "zrh_c": (_d, []), "zrh_d": (None, [])}
+    assert entry_point_drift(source, drifted) == [
+        "zrh_b is not declared", "zrh_d is not defined",
+        "zrh_a takes 2 parameters, 3 declared"]
+
+
+def test_every_entry_point_is_declared_with_its_parameters():
+    assert entry_point_drift(_ckernel.SOURCE.read_text(),
+                             _ckernel.ENTRY_POINTS) == []
 
 
 def test_entry_points_match_the_c_definitions():
